@@ -2,16 +2,19 @@
 
 On a duplicates-heavy generator family the number of update steps stays
 bounded (independently of m) while batch reduction has to chew through all
-m vectors; the timing gap grows with m.
+m vectors; the gap shows in MLLL swaps (a count that does not depend on the
+machine) and in time, and grows with m.
 """
 
 from latkit.cli import bench_row
 from latkit.reduction import DEFAULT_PARAMS
 
-print(f"{'m':>5} {'updates':>8} {'bound':>8} {'t_incr':>9} {'t_batch':>9}")
+print(f"{'m':>5} {'updates':>8} {'bound':>8} {'swaps_i':>8} {'swaps_b':>8} "
+      f"{'t_incr':>9} {'t_batch':>9}")
 for m in (50, 100, 200):
     row = bench_row(seed=7, d=4, m=m, entry_range=10, duplicates=True,
                     params=DEFAULT_PARAMS)
     print(f"{row['m']:>5} {row['update_count']:>8} "
-          f"{row['theorem_bound']:>8.2f} {row['t_incremental']:>9.4f} "
+          f"{row['theorem_bound']:>8.2f} {row['swaps_incremental']:>8} "
+          f"{row['swaps_batch']:>8} {row['t_incremental']:>9.4f} "
           f"{row['t_batch_mlll']:>9.4f}")

@@ -1,8 +1,8 @@
 """Exact incremental lattice algorithms.
 
 Basis construction from generators, successive minima, and orthogonal
-(Kneser) decomposition, all in exact rational arithmetic, each paired with
-an independent brute-force oracle.
+(Kneser) decomposition, all in exact rational arithmetic (lattice reduction
+in exact integers), each paired with an independent brute-force oracle.
 """
 
 from .core import (

@@ -6,13 +6,14 @@ files are plain text: a header line "d m", then m whitespace-separated rows
 of d rational literals; '#' starts a comment.  All primary output is itself
 a valid lattice file (metadata goes into comment lines).
 
-Exit codes: 0 ok, 2 parse error, 3 verification mismatch, 4 insufficient
-bound, 5 enumeration cap exceeded.
+Exit codes: 0 ok, 2 parse error, bad option value or unreadable input,
+3 verification mismatch, 4 insufficient bound, 5 enumeration cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import random
 import sys
@@ -50,7 +51,7 @@ from .incremental import (
     update_step_bound_value,
 )
 from .minima import greedy_minima_oracle, minkowski_check, successive_minima
-from .reduction import ReductionParams, mlll
+from .reduction import IncrementalLattice, ReductionParams
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -65,8 +66,8 @@ class LatticeFileError(Exception):
         self.line_no = line_no
 
 
-def parse_scalar(token: str) -> Fraction:
-    return Fraction(token)
+class UsageError(Exception):
+    """An option value or input file the command cannot use (exit 2)."""
 
 
 def format_scalar(x: Fraction) -> str:
@@ -104,7 +105,7 @@ def parse_lattice_file(text: str) -> tuple[int, int, list[Vector]]:
             raise LatticeFileError(
                 line_no, f"expected {d} entries, got {len(tokens)}")
         try:
-            rows.append(tuple(parse_scalar(t) for t in tokens))
+            rows.append(tuple(Fraction(t) for t in tokens))
         except (ValueError, ZeroDivisionError) as exc:
             raise LatticeFileError(line_no, f"bad rational literal: {exc}")
         if len(rows) > m:
@@ -128,7 +129,6 @@ class RunReport:
     command: str
     input_digest: str
     lines: list[str] = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
 
     def emit(self, out=None) -> None:
         for line in self.lines:
@@ -138,38 +138,52 @@ class RunReport:
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}")
 
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _rational_option(name: str, value: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"{name} must be a rational number, got {value!r}")
+
+
 def _params(args) -> ReductionParams:
-    return ReductionParams(Fraction(args.delta))
+    try:
+        return ReductionParams(_rational_option("--delta", args.delta))
+    except ValueError as exc:
+        raise UsageError(f"--delta: {exc}")
 
 
 def _bound_sq(args) -> Fraction:
     if args.bound_sq is not None:
-        b = Fraction(args.bound_sq)
+        b = _rational_option("--bound-sq", args.bound_sq)
         if b <= 0:
-            raise ValueError("--bound-sq must be positive")
+            raise UsageError("--bound-sq must be positive")
         return b
     if args.bound is not None:
-        b = Fraction(args.bound)
+        b = _rational_option("--bound", args.bound)
         if b <= 0:
-            raise ValueError("--bound must be positive")
+            raise UsageError("--bound must be positive")
         return b * b
-    raise ValueError("one of --bound-sq / --bound is required")
+    raise UsageError("one of --bound-sq / --bound is required")
 
 
 def cmd_basis(args) -> int:
+    params = _params(args)
     text = _read_input(args.file)
     d, _, rows = parse_lattice_file(text)
     report = RunReport("basis", _digest(text))
     t0 = time.perf_counter()
-    basis, trace = incremental_basis(rows, _params(args))
+    basis, trace = incremental_basis(rows, params)
     t1 = time.perf_counter()
     report.lines += [
         f"# command: basis",
@@ -186,7 +200,7 @@ def cmd_basis(args) -> int:
                 f"volume_sq={format_scalar(rec.volume_sq_after)}")
         report.lines.append(f"# update_count: {trace.update_count}")
         if basis.rank >= 1:
-            lam1 = first_minimum_sq(basis, _params(args), args.cap)
+            lam1 = first_minimum_sq(basis, params, args.cap)
             bsq = max(norm_sq(as_vector(v)) for v in rows
                       if not is_zero_vector(as_vector(v)))
             holds = update_step_bound_holds(trace, basis.rank, bsq, lam1)
@@ -205,24 +219,20 @@ def cmd_basis(args) -> int:
     return EXIT_OK
 
 
-def _basis_from_rows(rows) -> LatticeBasis:
-    return LatticeBasis(rows)
-
-
-def cmd_minima(args) -> int:
+def _input_basis(args) -> tuple[str, int, LatticeBasis]:
+    """The input file as a basis, for ``minima`` and ``decompose``."""
     text = _read_input(args.file)
     d, _, rows = parse_lattice_file(text)
     try:
-        basis = _basis_from_rows(rows)
-        bound_sq = _bound_sq(args)
+        return text, d, LatticeBasis(rows)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        s = enumerate_up_to(EnumerationRequest(basis, bound_sq, args.cap))
-    except EnumerationCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+        raise UsageError(str(exc))
+
+
+def cmd_minima(args) -> int:
+    bound_sq = _bound_sq(args)
+    text, d, basis = _input_basis(args)
+    s = enumerate_up_to(EnumerationRequest(basis, bound_sq, args.cap))
     if not s.vectors:
         print("error: bound below first minimum", file=sys.stderr)
         return EXIT_BOUND
@@ -251,19 +261,10 @@ def cmd_minima(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    text = _read_input(args.file)
-    d, _, rows = parse_lattice_file(text)
-    try:
-        basis = _basis_from_rows(rows)
-        bound_sq = _bound_sq(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        s = enumerate_up_to(EnumerationRequest(basis, bound_sq, args.cap))
-    except EnumerationCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    params = _params(args)
+    bound_sq = _bound_sq(args)
+    text, d, basis = _input_basis(args)
+    s = enumerate_up_to(EnumerationRequest(basis, bound_sq, args.cap))
     if not s.vectors or not lattice_equal(s, basis):
         got = len({v for v in s.vectors})
         print(
@@ -271,7 +272,7 @@ def cmd_decompose(args) -> int:
             f"not generate the full rank-{basis.rank} lattice",
             file=sys.stderr)
         return EXIT_BOUND
-    decomp = orthogonal_decomposition(s, _params(args))
+    decomp = orthogonal_decomposition(s, params)
     report = RunReport("decompose", _digest(text))
     report.lines += [
         f"# command: decompose",
@@ -285,7 +286,7 @@ def cmd_decompose(args) -> int:
         report.lines.extend(format_vector(v) for v in comp.basis.vectors)
     report.emit()
     if args.verify:
-        oracle = graph_decomposition_oracle(s, _params(args))
+        oracle = graph_decomposition_oracle(s, params)
         if canonical_component_forms(decomp) != \
                 canonical_component_forms(oracle):
             print("verification failed: graph oracle disagrees",
@@ -316,12 +317,22 @@ def bench_row(seed: int, d: int, m: int, entry_range: int,
               duplicates: bool, params: ReductionParams) -> dict:
     rng = random.Random(seed)
     gens = random_instance(rng, d, m, entry_range, duplicates)
-    t0 = time.perf_counter()
-    basis, trace = incremental_basis(gens, params)
-    t1 = time.perf_counter()
-    batch = mlll(gens, params)
-    t2 = time.perf_counter()
-    assert lattice_equal(basis, batch)
+    # Time with the garbage collector paused, as timeit does: a full
+    # collection of a large heap left by earlier work (such as a pytest
+    # run) takes longer than either run and would land in one timing.
+    gc_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        basis, trace = incremental_basis(gens, params)
+        t1 = time.perf_counter()
+        batch = IncrementalLattice.from_generators(gens, params)
+        batch_basis = batch.basis()
+        t2 = time.perf_counter()
+    finally:
+        if gc_enabled:
+            gc.enable()
+    assert lattice_equal(basis, batch_basis)
     lam1 = first_minimum_sq(basis, params)
     bsq = max(norm_sq(v) for v in gens)
     return {
@@ -334,6 +345,8 @@ def bench_row(seed: int, d: int, m: int, entry_range: int,
         "bound_holds": update_step_bound_holds(trace, basis.rank, bsq, lam1),
         "t_incremental": t1 - t0,
         "t_batch_mlll": t2 - t1,
+        "swaps_incremental": trace.swaps,
+        "swaps_batch": batch.swaps,
     }
 
 
@@ -413,6 +426,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except LatticeFileError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except EnumerationCapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
 
 
 if __name__ == "__main__":

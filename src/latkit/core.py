@@ -152,6 +152,17 @@ class LatticeBasis:
         if vs and determinant(self.gram) == 0:
             raise ValueError("basis vectors are linearly dependent")
 
+    @classmethod
+    def _trusted(cls, vectors: tuple[Vector, ...], gram: Matrix,
+                 dim: int) -> "LatticeBasis":
+        """A basis from vectors that are independent by construction (the
+        output of a reduction), with its Gram matrix; skips the check."""
+        basis = object.__new__(cls)
+        basis.vectors = vectors
+        basis.gram = gram
+        basis.dim = dim
+        return basis
+
     @property
     def rank(self) -> int:
         return len(self.vectors)

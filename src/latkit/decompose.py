@@ -3,6 +3,8 @@
 Two routes to the same (Eichler-unique) answer: an incremental merge scan
 over a complete generating set, and a graph oracle that takes connected
 components of the non-orthogonality graph on length-indecomposable vectors.
+The scan tests each vector for membership in the running sum with the
+integral MLLL engine of ``latkit.reduction``; the oracle never uses it.
 """
 
 from __future__ import annotations
@@ -17,12 +19,16 @@ from .core import (
     Vector,
     canonical_basis,
     inner_product,
-    is_member,
     is_zero_vector,
     norm_sq,
 )
 from .minima import norm_order_key
-from .reduction import DEFAULT_PARAMS, ReductionParams, mlll
+from .reduction import (
+    DEFAULT_PARAMS,
+    IncrementalLattice,
+    ReductionParams,
+    mlll,
+)
 
 
 @dataclass(frozen=True)
@@ -31,10 +37,6 @@ class Component:
     witnesses for projection tests."""
 
     basis: LatticeBasis
-
-    @property
-    def span_witnesses(self) -> tuple[Vector, ...]:
-        return self.basis.vectors
 
     @property
     def rank(self) -> int:
@@ -90,7 +92,7 @@ def _assert_pairwise_orthogonal(components: Sequence[LatticeBasis]) -> None:
                             "components lost pairwise orthogonality")
 
 
-def _canonicalize(bases: Sequence[LatticeBasis], dim: int) -> Decomposition:
+def _canonicalize(bases: Sequence[LatticeBasis]) -> Decomposition:
     """Sort components into the canonical order and assemble the output."""
     keyed = []
     for b in bases:
@@ -124,11 +126,11 @@ def orthogonal_decomposition(s: GeneratingSet,
     if not s.complete:
         raise ValueError("orthogonal decomposition requires a complete set")
     order = sorted(s.vectors, key=norm_order_key)
-    dim = len(order[0])
     components: list[LatticeBasis] = [mlll([order[0]], params)]
-    sum_basis = components[0]
+    total = IncrementalLattice(len(order[0]), params)
+    total.insert(order[0])
     for v in order[1:]:
-        if is_member(sum_basis, v):
+        if not total.insert(v):
             continue
         joined = [i for i, c in enumerate(components)
                   if any(inner_product(v, b) != 0 for b in c.vectors)]
@@ -138,11 +140,9 @@ def orthogonal_decomposition(s: GeneratingSet,
         merged = mlll(merged_gens, params)
         components = [c for i, c in enumerate(components)
                       if i not in joined] + [merged]
-        flat = [b for c in components for b in c.vectors]
-        sum_basis = LatticeBasis(flat)
         if check_invariants:
             _assert_pairwise_orthogonal(components)
-    return _canonicalize(components, dim)
+    return _canonicalize(components)
 
 
 def graph_decomposition_oracle(s: GeneratingSet,
@@ -156,7 +156,6 @@ def graph_decomposition_oracle(s: GeneratingSet,
     if not s.complete:
         raise ValueError("orthogonal decomposition requires a complete set")
     vertices = [v for v in s.vectors if not is_length_decomposable(v, s)]
-    dim = len(s.vectors[0])
     unvisited = set(range(len(vertices)))
     bases: list[LatticeBasis] = []
     while unvisited:
@@ -173,7 +172,7 @@ def graph_decomposition_oracle(s: GeneratingSet,
                 stack.append(j)
             comp.extend(adjacent)
         bases.append(mlll([vertices[i] for i in comp], params))
-    return _canonicalize(bases, dim)
+    return _canonicalize(bases)
 
 
 def canonical_component_forms(decomp: Decomposition

@@ -1,9 +1,11 @@
 """Incremental lattice basis construction with localization/update tracing.
 
 Each generator is first located (membership test against the lattice built
-so far); only generators outside it trigger an update, which recomputes a
-reduced basis.  The trace records enough to check the update-step bound
-u <= d + log2(d! (B/lambda_1)^d) exactly in its squared form.
+so far); only generators outside it trigger an update, which resumes the
+integral MLLL loop of ``IncrementalLattice`` from the new vector instead of
+reducing everything again.  The trace records enough to check the
+update-step bound u <= d + log2(d! (B/lambda_1)^d) exactly in its squared
+form.
 """
 
 from __future__ import annotations
@@ -13,14 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import (
-    LatticeBasis,
-    as_vector,
-    is_member,
-    is_zero_vector,
-    volume_sq,
-)
-from .reduction import DEFAULT_PARAMS, ReductionParams, basis_union
+from .core import LatticeBasis, as_vector, is_zero_vector
+from .reduction import DEFAULT_PARAMS, IncrementalLattice, ReductionParams
 
 
 @dataclass(frozen=True)
@@ -34,6 +30,7 @@ class InsertionRecord:
 @dataclass(frozen=True)
 class UpdateTrace:
     insertions: tuple[InsertionRecord, ...]
+    swaps: int           # MLLL swaps over all updates
 
     @property
     def update_count(self) -> int:
@@ -57,20 +54,17 @@ def incremental_basis(generators: Sequence, params: ReductionParams =
     dims = {len(v) for v in vs}
     if len(dims) > 1:
         raise ValueError("generators have mixed dimensions")
-    dim = dims.pop() if dims else None
-    basis = LatticeBasis((), dim=dim)
+    lattice = IncrementalLattice(dims.pop() if dims else 0, params)
     records = []
+    volume = lattice.volume_sq
     for i, v in enumerate(vs):
         if is_zero_vector(v):
             continue
-        if is_member(basis, v):
-            records.append(InsertionRecord(i, False, basis.rank,
-                                           volume_sq(basis)))
-        else:
-            basis = basis_union(basis, v, params)
-            records.append(InsertionRecord(i, True, basis.rank,
-                                           volume_sq(basis)))
-    return basis, UpdateTrace(tuple(records))
+        was_update = lattice.insert(v)
+        if was_update:
+            volume = lattice.volume_sq
+        records.append(InsertionRecord(i, was_update, lattice.rank, volume))
+    return lattice.basis(), UpdateTrace(tuple(records), lattice.swaps)
 
 
 def update_step_bound_holds(trace: UpdateTrace, d: int, bound_sq,

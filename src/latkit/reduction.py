@@ -1,8 +1,13 @@
 """Basis computation from small generating sets: Pohst-style MLLL.
 
 The reduction accepts linearly dependent (and duplicate) input vectors and
-returns an LLL-reduced basis of the lattice they generate.  All Gram-Schmidt
-bookkeeping is exact rational.
+returns an LLL-reduced basis of the lattice they generate.  One engine,
+``IncrementalLattice``, keeps the reduction state between insertions in
+exact integers: the vectors over one common denominator, the Gram
+determinants ``d_i`` and ``lambda_ij = d_{j+1} mu_ij`` (de Weger 1987; Cohen,
+Alg. 2.6.7), with Pohst's handling of a dependent vector.  Batch reduction
+(``mlll``), the incremental basis construction and the decomposition's
+membership scan all run on it.
 """
 
 from __future__ import annotations
@@ -10,9 +15,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from operator import mul
+from typing import Optional, Sequence
 
-from .core import LatticeBasis, Vector, as_vector, integerize, is_zero_vector
+from .core import (
+    LatticeBasis,
+    Vector,
+    as_vector,
+    inner_product,
+    integerize,
+    is_zero_vector,
+)
 
 
 @dataclass(frozen=True)
@@ -30,96 +43,263 @@ class ReductionParams:
 DEFAULT_PARAMS = ReductionParams()
 
 
-def _dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+def _idot(u, v) -> int:
+    return sum(map(mul, u, v))
 
 
-def _mlll_int(b: list[list[int]], delta: Fraction) -> list[list[int]]:
-    """LLL for possibly dependent integer vectors (Pohst's MLLL).
+class IncrementalLattice:
+    """LLL-reduced basis of the lattice spanned by the vectors inserted so
+    far, with its integral Gram-Schmidt state.
 
-    Dependent vectors are driven to zero by the swap/reduce loop and left in
-    place; the caller strips them.  Gram-Schmidt data (mu, B, b*) is updated
-    incrementally through the generalized swap, which distinguishes the
-    degenerate cases B_k = 0.
+    Between insertions ``rows`` holds ``n`` independent integer vectors
+    ``b_0..b_{n-1}``; the lattice is ``rows / scale``, where ``scale`` is the
+    least common denominator of everything inserted.  ``d[i]`` is the Gram
+    determinant of ``b_0..b_{i-1}`` and ``lam[i][j] = d[j+1] mu_ij`` for
+    ``j < i``; both are integers, so the loop needs no ``b*`` vectors and no
+    ``Fraction``.
+
+    During an update at most one vector has ``b* = 0`` (the new vector, when
+    it lies in the span).  Its slot ``z`` is tracked explicitly: ``d`` counts
+    nonzero ``b*`` only, so ``d[z+1] = d[z]``, and ``lam[.][z] = 0``.  The
+    swap rules are those of Pohst's rational MLLL, step for step, so every
+    decision (and the output) is the same as there; the zero vector ends at
+    position 0 and is dropped.
     """
-    m = len(b)
-    if m == 0:
-        return []
-    zero = Fraction(0)
-    half = Fraction(1, 2)
-    bstar: list[tuple] = [()] * m
-    B: list[Fraction] = [zero] * m
-    mu = [[zero] * m for _ in range(m)]
 
-    bstar[0] = tuple(Fraction(x) for x in b[0])
-    B[0] = _dot(bstar[0], bstar[0])
-    kmax = 0
+    __slots__ = ("dim", "scale", "rows", "d", "lam", "swaps", "_p", "_q")
 
-    def red(k: int, l: int) -> None:
-        if abs(mu[k][l]) > half:
-            q = math.floor(mu[k][l] + half)
-            b[k] = [a - q * c for a, c in zip(b[k], b[l])]
-            mu[k][l] -= q
-            for i in range(l):
-                mu[k][i] -= q * mu[l][i]
+    def __init__(self, dim: int, params: ReductionParams = DEFAULT_PARAMS,
+                 scale: int = 1):
+        self.dim = dim
+        self.scale = scale
+        self.rows: list[list[int]] = []
+        self.d: list[int] = [1]
+        self.lam: list[list[int]] = []
+        self.swaps = 0
+        self._p = params.delta.numerator
+        self._q = params.delta.denominator
 
-    def swapg(k: int) -> None:
-        b[k], b[k - 1] = b[k - 1], b[k]
-        for j in range(k - 1):
-            mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
-        m_ = mu[k][k - 1]
-        Bt = B[k] + m_ * m_ * B[k - 1]
-        if B[k] == 0 and m_ == 0:
-            B[k], B[k - 1] = B[k - 1], B[k]
-            bstar[k], bstar[k - 1] = bstar[k - 1], bstar[k]
-            for i in range(k + 1, kmax + 1):
-                mu[i][k], mu[i][k - 1] = mu[i][k - 1], mu[i][k]
-        elif B[k] == 0:
-            B[k - 1] = Bt
-            bstar[k - 1] = tuple(m_ * x for x in bstar[k - 1])
-            mu[k][k - 1] = 1 / m_
-            for i in range(k + 1, kmax + 1):
-                mu[i][k - 1] = mu[i][k - 1] / m_
+    @classmethod
+    def from_generators(cls, generators: Sequence,
+                        params: ReductionParams = DEFAULT_PARAMS
+                        ) -> "IncrementalLattice":
+        """Batch MLLL: every nonzero generator goes through the swap loop in
+        order, with no membership shortcut."""
+        vs = [as_vector(v) for v in generators]
+        dims = {len(v) for v in vs}
+        if len(dims) > 1:
+            raise ValueError("generators have mixed dimensions")
+        vs = [v for v in vs if not is_zero_vector(v)]
+        ints, scale = integerize(vs)
+        lat = cls(dims.pop() if dims else 0, params, scale)
+        for row in ints:
+            lat._add(row, *lat._gram_schmidt_row(row))
+        return lat
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    @property
+    def volume_sq(self) -> Fraction:
+        """Squared volume of the current lattice: d_n / scale^(2n)."""
+        n = len(self.rows)
+        return Fraction(self.d[n], self.scale ** (2 * n))
+
+    def basis(self) -> LatticeBasis:
+        """The current reduced basis; independent by construction."""
+        s = self.scale
+        s2 = s * s
+        rows = self.rows
+        vectors = tuple(tuple(Fraction(c, s) for c in row) for row in rows)
+        gram = tuple(tuple(Fraction(_idot(u, w), s2) for w in rows)
+                     for u in rows)
+        return LatticeBasis._trusted(vectors, gram, self.dim)
+
+    def insert(self, v: Vector) -> bool:
+        """Localize ``v``; when it lies outside the lattice, add it.
+
+        Returns whether the insertion was an update.  Membership is the
+        nearest-plane reduction of v's lambda-row: v is in the lattice iff
+        it lies in the span (``d_{n+1} = 0``) and each coefficient, taken
+        from the top, is an integer multiple of its ``d``.
+        """
+        row = self._integer_row(v)
+        lam_row, dn = self._gram_schmidt_row(row)
+        if dn == 0 and self._reduces_to_zero(lam_row):
+            return False
+        self._add(row, lam_row, dn)
+        return True
+
+    # -- state ----------------------------------------------------------
+    def _integer_row(self, v: Vector) -> list[int]:
+        """v times ``scale``, first raising ``scale`` (and rescaling the
+        state) when v has a denominator that does not divide it."""
+        s = self.scale
+        new = math.lcm(s, *(c.denominator for c in v))
+        if new != s:
+            self._rescale(new // s)
+            s = new
+        return [c.numerator * (s // c.denominator) for c in v]
+
+    def _rescale(self, f: int) -> None:
+        """Multiply every vector by f: d_i scales by f^(2i), lambda_ij like
+        d_{j+1}.  Decisions depend only on mu and ratios, so none change."""
+        f2 = f * f
+        self.scale *= f
+        self.rows = [[f * c for c in row] for row in self.rows]
+        self.d = [x * f2 ** i for i, x in enumerate(self.d)]
+        self.lam = [[x * f2 ** (j + 1) for j, x in enumerate(row)]
+                    for row in self.lam]
+
+    def _gram_schmidt_row(self, v: list[int]) -> tuple[list[int], int]:
+        """Integral Gram-Schmidt of v against the current basis: the row
+        ``lam_vj = d_{j+1} mu_vj`` and the next Gram determinant
+        ``d_{n+1}`` (zero iff v lies in the span)."""
+        rows, d, lam = self.rows, self.d, self.lam
+        out: list[int] = []
+        for j, b in enumerate(rows):
+            u = _idot(v, b)
+            lj = lam[j]
+            for i in range(j):
+                u = (d[i + 1] * u - out[i] * lj[i]) // d[i]
+            out.append(u)
+        u = _idot(v, v)
+        for i, x in enumerate(out):
+            u = (d[i + 1] * u - x * x) // d[i]
+        return out, u
+
+    def _reduces_to_zero(self, lam_row: list[int]) -> bool:
+        d, lam = self.d, self.lam
+        r = lam_row[:]
+        for l in range(len(r) - 1, -1, -1):
+            x = r[l]
+            if x:
+                q, rem = divmod(x, d[l + 1])
+                if rem:
+                    return False
+                ll = lam[l]
+                for i in range(l):
+                    r[i] -= q * ll[i]
+        return True
+
+    # -- the MLLL loop --------------------------------------------------
+    def _add(self, row: list[int], lam_row: list[int], dn: int) -> None:
+        """Append b_n and run the swap loop from k = n until the basis is
+        reduced again."""
+        rows, d, lam = self.rows, self.d, self.lam
+        n = len(rows)
+        rows.append(row)
+        lam.append(lam_row)
+        z: Optional[int] = None
+        if dn == 0:
+            z = n
+            d.append(d[n])
         else:
-            t = B[k - 1] / Bt
-            mu[k][k - 1] = m_ * t
-            bb = bstar[k - 1]
-            ratio = B[k] / Bt
-            bstar[k - 1] = tuple(x + m_ * y for x, y in zip(bstar[k], bb))
-            bstar[k] = tuple(ratio * y - mu[k][k - 1] * x
-                             for x, y in zip(bstar[k], bb))
-            B[k] = B[k] * t
-            B[k - 1] = Bt
-            for i in range(k + 1, kmax + 1):
-                t2 = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - m_ * t2
-                mu[i][k - 1] = t2 + mu[k][k - 1] * mu[i][k]
-
-    k = 1
-    while k < m:
-        if k > kmax:
-            kmax = k
-            w = [Fraction(x) for x in b[k]]
-            for j in range(k):
-                if B[j] != 0:
-                    mu[k][j] = _dot(b[k], bstar[j]) / B[j]
+            d.append(dn)
+        p, q = self._p, self._q
+        k = max(n, 1)
+        while k < len(rows):
+            lk = lam[k]
+            if 2 * abs(lk[k - 1]) > d[k]:
+                self._red(k, k - 1)
+            if k == z:
+                self.swaps += 1
+                if lam[k][k - 1]:
+                    self._swap_dependent(k)
                 else:
-                    mu[k][j] = zero
-                if mu[k][j] != 0:
-                    w = [a - mu[k][j] * c for a, c in zip(w, bstar[j])]
-            bstar[k] = tuple(w)
-            B[k] = _dot(w, w)
-        while True:
-            red(k, k - 1)
-            if B[k] < (delta - mu[k][k - 1] ** 2) * B[k - 1]:
-                swapg(k)
+                    self._exchange(k)
+                    z = k - 1
+                    if z == 0:
+                        self._drop_front()
+                        z = None
+                        continue      # k = 1: the slot after the dropped one
+                k = max(1, k - 1)
+                continue
+            x = lk[k - 1]
+            if q * (d[k + 1] * d[k - 1] + x * x) < p * d[k] * d[k]:
+                self.swaps += 1
+                self._swap(k)
                 k = max(1, k - 1)
             else:
                 for l in range(k - 2, -1, -1):
-                    red(k, l)
+                    if 2 * abs(lk[l]) > d[l + 1]:
+                        self._red(k, l)
                 k += 1
-                break
-    return [row for row in b if any(row)]
+
+    def _red(self, k: int, l: int) -> None:
+        """Size-reduce b_k by b_l, called when |mu_kl| > 1/2 (so slot l has
+        b* != 0): subtract q b_l with q = floor(mu_kl + 1/2)."""
+        lk = self.lam[k]
+        x = lk[l]
+        dl = self.d[l + 1]
+        q = (2 * x + dl) // (2 * dl)
+        rows = self.rows
+        rows[k] = [a - q * c for a, c in zip(rows[k], rows[l])]
+        lk[l] = x - q * dl
+        ll = self.lam[l]
+        for i in range(l):
+            lk[i] -= q * ll[i]
+
+    def _swap_rows(self, k: int, x: int) -> None:
+        """Exchange b_{k-1} and b_k with their lambda entries below k-1;
+        the new lambda_{k,k-1} is x."""
+        rows, lam = self.rows, self.lam
+        rows[k - 1], rows[k] = rows[k], rows[k - 1]
+        old_k1 = lam[k - 1]
+        lam[k - 1] = lam[k][:k - 1]
+        lam[k] = old_k1 + [x]
+
+    def _swap(self, k: int) -> None:
+        """Swap two slots with b* != 0 (Cohen, Alg. 2.6.7, SWAPI)."""
+        d, lam = self.d, self.lam
+        x = lam[k][k - 1]
+        self._swap_rows(k, x)
+        dk, dk1 = d[k], d[k + 1]
+        b = (d[k - 1] * dk1 + x * x) // dk
+        for i in range(k + 1, len(lam)):
+            li = lam[i]
+            t = li[k]
+            li[k] = (dk1 * li[k - 1] - x * t) // dk
+            li[k - 1] = (b * t + x * li[k]) // dk1
+        d[k] = b
+
+    def _exchange(self, k: int) -> None:
+        """Slot k has b* = 0 and mu_{k,k-1} = 0: the zero slot moves to
+        k-1, the nonzero one up to k."""
+        d, lam = self.d, self.lam
+        self._swap_rows(k, 0)
+        d[k] = d[k - 1]
+        for i in range(k + 1, len(lam)):
+            li = lam[i]
+            li[k - 1], li[k] = li[k], li[k - 1]
+
+    def _swap_dependent(self, k: int) -> None:
+        """Slot k has b* = 0 and mu = mu_{k,k-1} != 0.  After the swap the
+        new b*_{k-1} is mu times the old one and slot k still has b* = 0, so
+        d_k and every later d_j and lambda_.j scale by mu^2 = x^2/d_k^2."""
+        d, lam = self.d, self.lam
+        x = lam[k][k - 1]
+        self._swap_rows(k, x)
+        dk = d[k]
+        x2 = x * x
+        dk2 = dk * dk
+        d[k] = d[k + 1] = x2 // dk
+        for j in range(k + 2, len(d)):
+            d[j] = d[j] * x2 // dk2
+        for i in range(k + 1, len(lam)):
+            li = lam[i]
+            li[k - 1] = x * li[k - 1] // dk
+            for j in range(k + 1, i):
+                li[j] = li[j] * x2 // dk2
+
+    def _drop_front(self) -> None:
+        """Remove the zero vector that reached position 0."""
+        self.rows.pop(0)
+        self.lam.pop(0)
+        for li in self.lam:
+            li.pop(0)
+        self.d.pop(0)
 
 
 def mlll(generators: Sequence, params: ReductionParams = DEFAULT_PARAMS
@@ -129,19 +309,7 @@ def mlll(generators: Sequence, params: ReductionParams = DEFAULT_PARAMS
     Input may be linearly dependent and contain duplicates or zeros; the
     output rank equals the rank of the input.
     """
-    vs = [as_vector(v) for v in generators]
-    dims = {len(v) for v in vs}
-    if len(dims) > 1:
-        raise ValueError("generators have mixed dimensions")
-    dim = dims.pop() if dims else 0
-    vs = [v for v in vs if not is_zero_vector(v)]
-    if not vs:
-        return LatticeBasis((), dim=dim or None)
-    ints, scale = integerize(vs)
-    reduced = _mlll_int(ints, params.delta)
-    return LatticeBasis(
-        [tuple(Fraction(c, scale) for c in row) for row in reduced]
-    )
+    return IncrementalLattice.from_generators(generators, params).basis()
 
 
 def basis_union(basis: LatticeBasis, v, params: ReductionParams =
@@ -164,7 +332,7 @@ def gram_schmidt(vectors: Sequence[Vector]
         row = []
         w = list(v)
         for j, bs in enumerate(bstar):
-            m_ = _dot(v, bs) / _dot(bs, bs)
+            m_ = inner_product(v, bs) / inner_product(bs, bs)
             row.append(m_)
             w = [a - m_ * c for a, c in zip(w, bs)]
         bstar.append(tuple(w))

@@ -282,6 +282,9 @@ def test_criterion_9_incremental_advantage():
     assert all(rows[m]["update_count"] <= bound for m in rows)
     # direction-only wall-clock check at the largest size
     assert rows[200]["t_incremental"] < rows[200]["t_batch_mlll"]
+    # the same direction in a count that timing noise cannot flip
+    assert rows[200]["swaps_incremental"] < rows[200]["swaps_batch"]
     _ok(9, "membership tests linear in m, updates bounded, incremental "
            f"{rows[200]['t_batch_mlll'] / rows[200]['t_incremental']:.1f}x "
-           "faster than batch MLLL at m=200")
+           f"faster than batch MLLL at m=200 ({rows[200]['swaps_incremental']}"
+           f" vs {rows[200]['swaps_batch']} swaps)")

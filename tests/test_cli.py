@@ -99,6 +99,41 @@ class TestBasisCommand:
         assert plain == verified
 
 
+class TestExitCodes:
+    """Bad option values and unreadable input end in a one-line error and a
+    documented exit code, never a traceback."""
+
+    def _check(self, code, expected, capsys):
+        err = capsys.readouterr().err
+        assert code == expected
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    def test_delta_above_one(self, tmp_path, capsys):
+        code = run_cli(["basis", "FILE", "--delta", "2"],
+                       tmp_path, Z2_REDUNDANT)
+        self._check(code, EXIT_PARSE, capsys)
+
+    def test_delta_quarter_in_decompose(self, tmp_path, capsys):
+        code = run_cli(["decompose", "FILE", "--delta", "1/4",
+                        "--bound-sq", "2"], tmp_path, DIAG)
+        self._check(code, EXIT_PARSE, capsys)
+
+    def test_delta_not_rational(self, tmp_path, capsys):
+        code = run_cli(["basis", "FILE", "--delta", "x"],
+                       tmp_path, Z2_REDUNDANT)
+        self._check(code, EXIT_PARSE, capsys)
+
+    def test_missing_file(self, tmp_path, capsys):
+        code = main(["basis", str(tmp_path / "missing.lat")])
+        self._check(code, EXIT_PARSE, capsys)
+
+    def test_trace_cap_exceeded(self, tmp_path, capsys):
+        code = run_cli(["basis", "FILE", "--trace", "--cap", "1"],
+                       tmp_path, Z2_REDUNDANT)
+        self._check(code, EXIT_CAP, capsys)
+
+
 class TestMinimaCommand:
     def test_diag(self, tmp_path, capsys):
         code = run_cli(["minima", "FILE", "--bound-sq", "4", "--verify"],

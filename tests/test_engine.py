@@ -1,0 +1,104 @@
+"""Differential tests of the integral MLLL engine.
+
+The engine must reproduce the rational MLLL it replaced exactly: the same
+basis vectors in the same order, the same trace records, the same membership
+answers as the rational ``is_member``, and a lattice equal to the HNF
+oracle's.  ``reference_mlll`` holds the frozen rational code.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latkit import (
+    ReductionParams,
+    incremental_basis,
+    is_member,
+    lattice_equal,
+    mlll,
+)
+from latkit.reduction import IncrementalLattice
+
+from reference_mlll import reference_incremental_basis, reference_mlll
+
+DELTAS = [F(26, 100), F(3, 4), F(99, 100), F(1)]
+params_st = st.sampled_from(DELTAS).map(ReductionParams)
+
+
+@st.composite
+def generator_families(draw):
+    """Integer or rational generators with zeros, duplicates and
+    rank-deficient families."""
+    d = draw(st.integers(1, 5))
+    entry = draw(st.sampled_from([1, 3, 20]))
+    row = st.tuples(*[st.integers(-entry, entry)] * d)
+    kind = draw(st.sampled_from(["free", "pool", "deficient"]))
+    m = draw(st.integers(0, 12))
+    if kind == "free":
+        gens = draw(st.lists(row, min_size=m, max_size=m))
+    elif kind == "pool":
+        pool = draw(st.lists(row, min_size=1, max_size=3))
+        gens = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+    else:
+        base = draw(st.lists(row, min_size=1, max_size=max(1, d - 1)))
+        coeffs = st.tuples(*[st.integers(-2, 2)] * len(base))
+        gens = [tuple(sum(c * b[i] for c, b in zip(cs, base))
+                      for i in range(d))
+                for cs in draw(st.lists(coeffs, min_size=m, max_size=m))]
+    if draw(st.booleans()):
+        gens.append(tuple([0] * d))
+    if draw(st.integers(0, 3)) == 0:
+        den = st.sampled_from([1, 2, 3, 6])
+        gens = [tuple(F(c, draw(den)) for c in g) for g in gens]
+    return d, gens
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_families(), params_st)
+def test_mlll_equals_reference(family, params):
+    _, gens = family
+    got, want = mlll(gens, params), reference_mlll(gens, params)
+    assert got.vectors == want.vectors
+    assert got.gram == want.gram
+    assert got.dim == want.dim
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_families(), params_st)
+def test_incremental_basis_equals_reference_loop(family, params):
+    _, gens = family
+    basis, trace = incremental_basis(gens, params)
+    want_basis, want_records = reference_incremental_basis(gens, params)
+    assert basis.vectors == want_basis.vectors
+    assert basis.dim == want_basis.dim
+    assert trace.insertions == want_records
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_families(), st.data())
+def test_membership_equals_is_member(family, data):
+    d, gens = family
+    lattice = IncrementalLattice.from_generators(gens)
+    basis = lattice.basis()
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(gens),
+                                max_size=len(gens)))
+    v = [sum((c * F(g[i]) for c, g in zip(coeffs, gens)), F(0))
+         for i in range(d)]
+    shift = data.draw(st.sampled_from([0, F(1, 2), F(1, 3), 1]))
+    v[data.draw(st.integers(0, d - 1))] += shift
+    v = tuple(v)
+    expected = is_member(basis, v)
+    was_update = lattice.insert(v)
+    assert was_update is not expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_families(), params_st, st.randoms(use_true_random=False))
+def test_permuted_generators_match_hnf_oracle(family, params, rng):
+    _, gens = family
+    perm = gens[:]
+    rng.shuffle(perm)
+    basis, _ = incremental_basis(perm, params)
+    assert lattice_equal(basis, gens)
+    assert lattice_equal(mlll(perm, params), gens)
