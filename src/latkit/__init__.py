@@ -2,7 +2,8 @@
 
 Basis construction from generators, successive minima, and orthogonal
 (Kneser) decomposition, all in exact rational arithmetic (lattice reduction
-in exact integers), each paired with an independent brute-force oracle.
+and enumeration in exact integers), each paired with an independent
+brute-force oracle.
 """
 
 from .core import (

@@ -18,12 +18,10 @@ import hashlib
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (
-    GeneratingSet,
     LatticeBasis,
     Vector,
     as_vector,
@@ -124,17 +122,6 @@ def render_lattice(vectors: Sequence[Vector], dim: int) -> list[str]:
     return lines
 
 
-@dataclass
-class RunReport:
-    command: str
-    input_digest: str
-    lines: list[str] = field(default_factory=list)
-
-    def emit(self, out=None) -> None:
-        for line in self.lines:
-            print(line, file=out if out is not None else sys.stdout)
-
-
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -154,6 +141,14 @@ def _rational_option(name: str, value: str) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"{name} must be a rational number, got {value!r}")
+
+
+def _int_list(name: str, value: str) -> list[int]:
+    try:
+        return [int(x) for x in value.split(",")]
+    except ValueError:
+        raise UsageError(
+            f"{name} must be comma-separated integers, got {value!r}")
 
 
 def _params(args) -> ReductionParams:
@@ -181,35 +176,33 @@ def cmd_basis(args) -> int:
     params = _params(args)
     text = _read_input(args.file)
     d, _, rows = parse_lattice_file(text)
-    report = RunReport("basis", _digest(text))
     t0 = time.perf_counter()
     basis, trace = incremental_basis(rows, params)
     t1 = time.perf_counter()
-    report.lines += [
+    lines = [
         f"# command: basis",
-        f"# input: {report.input_digest}",
+        f"# input: {_digest(text)}",
         f"# rank: {basis.rank}",
         f"# volume_sq: {format_scalar(volume_sq(basis))}",
     ]
-    report.lines += render_lattice(basis.vectors, d)
+    lines += render_lattice(basis.vectors, d)
     if args.trace:
         for rec in trace.insertions:
             kind = "update" if rec.was_update else "member"
-            report.lines.append(
+            lines.append(
                 f"# insert i={rec.index} {kind} rank={rec.rank_after} "
                 f"volume_sq={format_scalar(rec.volume_sq_after)}")
-        report.lines.append(f"# update_count: {trace.update_count}")
+        lines.append(f"# update_count: {trace.update_count}")
         if basis.rank >= 1:
             lam1 = first_minimum_sq(basis, params, args.cap)
             bsq = max(norm_sq(as_vector(v)) for v in rows
                       if not is_zero_vector(as_vector(v)))
             holds = update_step_bound_holds(trace, basis.rank, bsq, lam1)
             value = update_step_bound_value(basis.rank, bsq, lam1)
-            report.lines.append(f"# bound_value: {value:.6f}")
-            report.lines.append(
-                f"# bound_holds: {'true' if holds else 'false'}")
-        report.lines.append(f"# time_compute: {t1 - t0:.6f}")
-    report.emit()
+            lines.append(f"# bound_value: {value:.6f}")
+            lines.append(f"# bound_holds: {'true' if holds else 'false'}")
+        lines.append(f"# time_compute: {t1 - t0:.6f}")
+    print("\n".join(lines))
     if args.verify:
         subset = generating_subset(rows, trace)
         if not lattice_equal(basis, rows) or not lattice_equal(subset, rows):
@@ -237,17 +230,16 @@ def cmd_minima(args) -> int:
         print("error: bound below first minimum", file=sys.stderr)
         return EXIT_BOUND
     result = successive_minima(s, expected_rank=basis.rank)
-    report = RunReport("minima", _digest(text))
-    report.lines += [
+    lines = [
         f"# command: minima",
-        f"# input: {report.input_digest}",
+        f"# input: {_digest(text)}",
         "# minima_sq: " + " ".join(format_scalar(x)
                                    for x in result.minima_sq),
         f"# rank: {result.rank}",
         f"# partial: {'true' if result.partial else 'false'}",
     ]
-    report.lines += render_lattice(result.witnesses, d)
-    report.emit()
+    lines += render_lattice(result.witnesses, d)
+    print("\n".join(lines))
     if args.verify:
         oracle = greedy_minima_oracle(s)
         ok = oracle.minima_sq == result.minima_sq
@@ -273,18 +265,17 @@ def cmd_decompose(args) -> int:
             file=sys.stderr)
         return EXIT_BOUND
     decomp = orthogonal_decomposition(s, params)
-    report = RunReport("decompose", _digest(text))
-    report.lines += [
+    lines = [
         f"# command: decompose",
-        f"# input: {report.input_digest}",
+        f"# input: {_digest(text)}",
         f"# r: {decomp.r}",
         "# indices: " + " ".join(str(i) for i in decomp.indices),
     ]
-    report.lines.append(f"{d} {len(decomp.grouped_basis)}")
+    lines.append(f"{d} {len(decomp.grouped_basis)}")
     for j, comp in enumerate(decomp.components, start=1):
-        report.lines.append(f"# component {j} rank {comp.rank}")
-        report.lines.extend(format_vector(v) for v in comp.basis.vectors)
-    report.emit()
+        lines.append(f"# component {j} rank {comp.rank}")
+        lines.extend(format_vector(v) for v in comp.basis.vectors)
+    print("\n".join(lines))
     if args.verify:
         oracle = graph_decomposition_oracle(s, params)
         if canonical_component_forms(decomp) != \
@@ -351,8 +342,8 @@ def bench_row(seed: int, d: int, m: int, entry_range: int,
 
 
 def cmd_bench(args) -> int:
-    dims = [int(x) for x in args.dims.split(",")]
-    counts = [int(x) for x in args.gen_counts.split(",")]
+    dims = _int_list("--dims", args.dims)
+    counts = _int_list("--gen-counts", args.gen_counts)
     params = _params(args)
     print("seed,d,m,update_count,theorem_bound,t_incremental,t_batch_mlll")
     idx = 0
@@ -377,9 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "successive minima, orthogonal decomposition.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, bound=False):
+    def delta(p):
         p.add_argument("--delta", default="3/4",
                        help="Lovász parameter (rational, default 3/4)")
+
+    def common(p, bound=False):
         p.add_argument("--verify", action="store_true",
                        help="cross-check against the independent oracle")
         p.add_argument("--cap", type=int, default=DEFAULT_CAP,
@@ -393,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="lattice file ('-' for stdin)")
     p.add_argument("--trace", action="store_true",
                    help="print the localization/update trace and bound check")
+    delta(p)
     common(p)
     p.set_defaults(func=cmd_basis)
 
@@ -403,6 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="orthogonal decomposition")
     p.add_argument("file")
+    delta(p)
     common(p, bound=True)
     p.set_defaults(func=cmd_decompose)
 
@@ -414,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--duplicates", action="store_true",
                    help="duplicates-heavy generator families")
-    p.add_argument("--delta", default="3/4")
+    delta(p)
     p.set_defaults(func=cmd_bench)
     return parser
 

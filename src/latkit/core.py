@@ -8,7 +8,7 @@ rational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -18,7 +18,7 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 def vec(*coords) -> Vector:
     """Build a vector from ints, strings ("p/q") or Fractions."""
-    return tuple(Fraction(c) for c in coords)
+    return as_vector(coords)
 
 
 def as_vector(coords: Iterable) -> Vector:
@@ -27,23 +27,6 @@ def as_vector(coords: Iterable) -> Vector:
 
 def is_zero_vector(v: Vector) -> bool:
     return all(c == 0 for c in v)
-
-
-def vadd(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vneg(v: Vector) -> Vector:
-    return tuple(-a for a in v)
-
-
-def vscale(v: Vector, s) -> Vector:
-    s = Fraction(s)
-    return tuple(s * a for a in v)
 
 
 def inner_product(u: Vector, v: Vector) -> Fraction:

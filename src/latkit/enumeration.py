@@ -1,10 +1,13 @@
 """Complete short-vector enumeration: all nonzero lattice vectors with
 squared norm up to a bound.
 
-The main enumerator does Fincke-Pohst recursive coordinate bounding on an
-exact rational Cholesky decomposition of the Gram matrix, so no boundary
-vector can be lost to rounding.  A naive coefficient-box scan serves as an
-independent oracle in low dimensions.
+The main enumerator is Fincke-Pohst recursive coordinate bounding on the
+LLL-reduced basis built by the integral MLLL engine of ``latkit.reduction``
+(reduce first, then enumerate, as Fincke and Pohst do).  The engine holds
+that basis's Gram-Schmidt form as integers (the Gram determinants ``d_i`` and
+``lambda_ij``), so every coordinate range is one integer square root and no
+boundary vector can be lost to rounding.  A naive coefficient-box scan over
+the given basis serves as an independent oracle in low dimensions.
 """
 
 from __future__ import annotations
@@ -13,10 +16,16 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .core import GeneratingSet, LatticeBasis, Vector, norm_sq
 from .minima import norm_order_key
-from .reduction import DEFAULT_PARAMS, ReductionParams, mlll
+from .reduction import (
+    DEFAULT_PARAMS,
+    IncrementalLattice,
+    ReductionParams,
+    mlll,
+)
 
 DEFAULT_CAP = 10**6
 
@@ -43,77 +52,48 @@ class EnumerationRequest:
             raise ValueError("basis must have rank at least 1")
 
 
-def _rational_cholesky(gram) -> list[list[Fraction]]:
-    """q with Q(x) = sum_i q[i][i] (x_i + sum_{j>i} q[i][j] x_j)^2."""
-    n = len(gram)
-    q = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        q[i][i] = gram[i][i] - sum(
-            (q[k][k] * q[k][i] ** 2 for k in range(i)), Fraction(0))
-        for j in range(i + 1, n):
-            q[i][j] = (gram[i][j] - sum(
-                (q[k][k] * q[k][i] * q[k][j] for k in range(i)), Fraction(0))
-            ) / q[i][i]
-    return q
-
-
-def _max_int_le_sqrt(s: Fraction, t: Fraction) -> int:
-    """Largest integer z with z + s <= sqrt(t) (t >= 0), exactly."""
-
-    def ok(z: int) -> bool:
-        u = z + s
-        return u <= 0 or u * u <= t
-
-    z = math.floor(-float(s) + math.sqrt(float(t)))
-    while ok(z + 1):
-        z += 1
-    while not ok(z):
-        z -= 1
-    return z
-
-
-def _coeff_range(s: Fraction, t: Fraction) -> range:
-    """Integers x with q-form constraint (x + s)^2 <= t, i.e.
-    -s - sqrt(t) <= x <= -s + sqrt(t)."""
-    hi = _max_int_le_sqrt(s, t)
-    lo = -_max_int_le_sqrt(-s, t)
-    return range(lo, hi + 1)
-
-
 def enumerate_up_to(req: EnumerationRequest) -> GeneratingSet:
     """All nonzero lattice vectors v with norm_sq(v) <= bound_sq.
 
     Output is closed under negation and canonically sorted (squared norm,
     then lexicographic); raises EnumerationCapExceeded rather than ever
-    returning a truncated, silently incomplete set.
+    returning a truncated, silently incomplete set.  Neither the output nor
+    the cap behaviour depends on the basis presented.
     """
-    basis = req.basis
-    n = basis.rank
-    q = _rational_cholesky(basis.gram)
+    lat = IncrementalLattice.from_generators(req.basis.vectors)
+    rows, d, lam, scale = lat.rows, lat.d, lat.lam, lat.scale
+    n = lat.rank
+    # With |b*_i|^2 = d_{i+1} / (d_i scale^2) and mu_ji = lam_ji / d_{i+1},
+    # scale^2 |sum_i x_i b_i|^2 = sum_i u_i^2 / (d_i d_{i+1}), where
+    # u_i = d_{i+1} x_i + sum_{j>i} lam_ji x_j.  Times lcm = lcm(d_i d_{i+1})
+    # each term is the integer u_i^2 w_i, so the whole search is integral.
+    dd = [d[i] * d[i + 1] for i in range(n)]
+    lcm = math.lcm(*dd)
+    w = [lcm // x for x in dd]
+    top = req.bound_sq * scale * scale * lcm
+    cols = list(zip(*rows))
     coeffs = [0] * n
     out: list[Vector] = []
 
-    def recurse(i: int, budget: Fraction) -> None:
-        # budget = bound_sq - contribution of levels > i
-        s = sum((q[i][j] * coeffs[j] for j in range(i + 1, n)), Fraction(0))
-        for x in _coeff_range(s, budget / q[i][i]):
+    def recurse(i: int, budget: int) -> None:
+        # budget = floor(lcm scale^2 bound_sq) - (terms of levels > i)
+        di1, wi = d[i + 1], w[i]
+        s = sum(lam[j][i] * coeffs[j] for j in range(i + 1, n))
+        r = math.isqrt(budget // wi)     # |u_i| <= r
+        for x in range(-((r + s) // di1), (r - s) // di1 + 1):
             coeffs[i] = x
-            if i == 0:
-                if any(coeffs):
-                    if len(out) >= req.cap:
-                        raise EnumerationCapExceeded(req.cap)
-                    w = tuple(
-                        sum((coeffs[k] * basis.vectors[k][j]
-                             for k in range(n)), Fraction(0))
-                        for j in range(basis.dim)
-                    )
-                    out.append(w)
-            else:
-                used = q[i][i] * (x + s) ** 2
-                recurse(i - 1, budget - used)
+            if i:
+                u = di1 * x + s
+                recurse(i - 1, budget - u * u * wi)
+            elif any(coeffs):
+                if len(out) >= req.cap:
+                    raise EnumerationCapExceeded(req.cap)
+                out.append(tuple(
+                    Fraction(sum(map(mul, coeffs, col)), scale)
+                    for col in cols))
         coeffs[i] = 0
 
-    recurse(n - 1, req.bound_sq)
+    recurse(n - 1, top.numerator // top.denominator)
     out.sort(key=norm_order_key)
     return GeneratingSet(tuple(out), req.bound_sq, complete=True)
 

@@ -1,8 +1,10 @@
 """Successive minima from a complete generating system.
 
-Vectors are scanned in nondecreasing norm; each one that extends the running
-subspace contributes the next minimum.  A complete input set guarantees the
-scan meets a witness of every minimum in order.
+Vectors are scanned in nondecreasing norm and inserted one by one into the
+integral MLLL engine of ``latkit.reduction``; each one that raises the rank
+of the running lattice extends its span and contributes the next minimum.
+A complete input set guarantees the scan meets a witness of every minimum in
+order.  The greedy oracle recomputes ranks by elimination instead.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from .core import (
     GeneratingSet,
     LatticeBasis,
     Vector,
-    inner_product,
     norm_sq,
     rank_of,
     volume_sq,
 )
+from .reduction import IncrementalLattice
 
 
 @dataclass(frozen=True)
@@ -48,21 +50,14 @@ def successive_minima(s: GeneratingSet,
         raise ValueError("generating set is empty")
     if not s.complete:
         raise ValueError("successive minima require a complete set")
-    total_rank = rank_of(s.vectors)
+    lattice = IncrementalLattice(len(s.vectors[0]))
     minima: list[Fraction] = []
     witnesses: list[Vector] = []
-    ortho: list[Vector] = []  # exact Gram-Schmidt of the witnesses
     for v in sorted(s.vectors, key=norm_order_key):
-        w = list(v)
-        for bs in ortho:
-            c = inner_product(v, bs) / inner_product(bs, bs)
-            if c != 0:
-                w = [a - c * b for a, b in zip(w, bs)]
-        if any(x != 0 for x in w):
-            ortho.append(tuple(w))
+        if lattice.insert(v) and lattice.rank > len(minima):
             witnesses.append(v)
             minima.append(norm_sq(v))
-            if len(minima) == total_rank:
+            if lattice.rank == lattice.dim:
                 break
     partial = expected_rank is not None and len(minima) < expected_rank
     return MinimaResult(tuple(minima), tuple(witnesses), len(minima), partial)
@@ -83,25 +78,27 @@ def greedy_minima_oracle(s: GeneratingSet) -> MinimaResult:
     return MinimaResult(tuple(minima), tuple(kept), len(kept))
 
 
-def unit_ball_volume(d: int) -> float:
-    return math.pi ** (d / 2) / math.gamma(d / 2 + 1)
-
-
 def minkowski_check(basis: LatticeBasis, result: MinimaResult,
                     rel_tol: float = 1e-9) -> bool:
     """Minkowski's inequalities on the successive minima:
 
         2^d/d! vol L  <=  lambda_1 ... lambda_d vol B_d  <=  2^d vol L
 
-    evaluated in floating point within ``rel_tol``.
+    evaluated in floating point within ``rel_tol``, on logarithms so that
+    no quantity overflows a float.
     """
     d = basis.rank
     if result.rank != d:
         raise ValueError(
             f"rank mismatch: basis rank {d}, {result.rank} minima")
-    vol = math.sqrt(float(volume_sq(basis)))
-    lam = math.prod(math.sqrt(float(m)) for m in result.minima_sq)
-    mid = lam * unit_ball_volume(d)
-    lower = 2 ** d / math.factorial(d) * vol
-    upper = 2 ** d * vol
-    return lower <= mid * (1 + rel_tol) and mid <= upper * (1 + rel_tol)
+
+    def log_sqrt(x: Fraction) -> float:
+        return (math.log(x.numerator) - math.log(x.denominator)) / 2
+
+    log_vol = log_sqrt(volume_sq(basis))
+    log_ball = d / 2 * math.log(math.pi) - math.lgamma(d / 2 + 1)
+    mid = sum(map(log_sqrt, result.minima_sq)) + log_ball
+    upper = d * math.log(2) + log_vol
+    lower = upper - math.lgamma(d + 1)
+    tol = math.log1p(rel_tol)
+    return lower <= mid + tol and mid <= upper + tol

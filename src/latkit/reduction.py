@@ -5,9 +5,11 @@ returns an LLL-reduced basis of the lattice they generate.  One engine,
 ``IncrementalLattice``, keeps the reduction state between insertions in
 exact integers: the vectors over one common denominator, the Gram
 determinants ``d_i`` and ``lambda_ij = d_{j+1} mu_ij`` (de Weger 1987; Cohen,
-Alg. 2.6.7), with Pohst's handling of a dependent vector.  Batch reduction
-(``mlll``), the incremental basis construction and the decomposition's
-membership scan all run on it.
+Alg. 2.6.7), with Pohst's handling of a dependent vector.  All three
+algorithms run on it: batch reduction (``mlll``) and the incremental basis
+construction, the successive-minima scan and the short-vector enumerator
+(which reads the reduced basis's Gram-Schmidt form from ``d`` and
+``lambda``), and the decomposition's membership scan.
 """
 
 from __future__ import annotations

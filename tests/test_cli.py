@@ -133,6 +133,23 @@ class TestExitCodes:
                        tmp_path, Z2_REDUNDANT)
         self._check(code, EXIT_CAP, capsys)
 
+    def test_huge_bound_hits_cap(self, tmp_path, capsys):
+        code = run_cli(["minima", "FILE", "--bound-sq", str(10**400),
+                        "--cap", "10"], tmp_path, "1 1\n1\n")
+        self._check(code, EXIT_CAP, capsys)
+
+    @pytest.mark.parametrize("option", ["--dims", "--gen-counts"])
+    def test_bench_list_not_integer(self, option, capsys):
+        code = main(["bench", option, "x", "--reps", "1"])
+        self._check(code, EXIT_PARSE, capsys)
+
+    def test_minima_has_no_delta(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["minima", "FILE", "--bound-sq", "4", "--delta", "1/2"],
+                    tmp_path, DIAG)
+        assert exc.value.code == EXIT_PARSE
+        assert "--delta" in capsys.readouterr().err
+
 
 class TestMinimaCommand:
     def test_diag(self, tmp_path, capsys):
@@ -162,6 +179,13 @@ class TestMinimaCommand:
         code = run_cli(["minima", "FILE", "--bound-sq", "4", "--cap", "3"],
                        tmp_path, DIAG)
         assert code == EXIT_CAP
+
+    def test_verify_huge_entry(self, tmp_path, capsys):
+        entry = 10**300     # 301 digits: far beyond the float range squared
+        code = run_cli(["minima", "FILE", "--bound-sq", str(10**600),
+                        "--verify"], tmp_path, f"1 1\n{entry}\n")
+        assert code == EXIT_OK
+        assert f"# minima_sq: {entry**2}" in capsys.readouterr().out
 
 
 class TestDecomposeCommand:
