@@ -13,6 +13,7 @@ Exit codes: 0 ok, 2 parse error, bad option value or unreadable input,
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import hashlib
 import random
@@ -24,7 +25,6 @@ from typing import Optional, Sequence
 from .core import (
     LatticeBasis,
     Vector,
-    as_vector,
     is_zero_vector,
     lattice_equal,
     norm_sq,
@@ -195,8 +195,7 @@ def cmd_basis(args) -> int:
         lines.append(f"# update_count: {trace.update_count}")
         if basis.rank >= 1:
             lam1 = first_minimum_sq(basis, params, args.cap)
-            bsq = max(norm_sq(as_vector(v)) for v in rows
-                      if not is_zero_vector(as_vector(v)))
+            bsq = max(norm_sq(v) for v in rows)
             holds = update_step_bound_holds(trace, basis.rank, bsq, lam1)
             value = update_step_bound_value(basis.rank, bsq, lam1)
             lines.append(f"# bound_value: {value:.6f}")
@@ -361,7 +360,9 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after."""
     parser = argparse.ArgumentParser(
         prog="latkit",
         description="Exact incremental lattice algorithms: basis, "

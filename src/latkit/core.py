@@ -114,9 +114,11 @@ def rank_of(vectors: Sequence[Vector]) -> int:
 
 
 class LatticeBasis:
-    """Ordered linearly independent vectors with a cached Gram matrix."""
+    """Ordered linearly independent vectors with their squared volume (the
+    Gram determinant), computed once: by the independence check, or by the
+    MLLL engine that hands its output to ``_trusted``."""
 
-    __slots__ = ("vectors", "gram", "dim")
+    __slots__ = ("vectors", "volume_sq", "dim")
 
     def __init__(self, vectors: Iterable, dim: Optional[int] = None):
         vs = tuple(as_vector(v) for v in vectors)
@@ -131,18 +133,18 @@ class LatticeBasis:
                 raise ValueError("more basis vectors than the dimension")
         self.vectors = vs
         self.dim = dim if dim is not None else 0
-        self.gram = gram_matrix(vs)
-        if vs and determinant(self.gram) == 0:
+        self.volume_sq = determinant(gram_matrix(vs))
+        if self.volume_sq == 0:
             raise ValueError("basis vectors are linearly dependent")
 
     @classmethod
-    def _trusted(cls, vectors: tuple[Vector, ...], gram: Matrix,
+    def _trusted(cls, vectors: tuple[Vector, ...], volume_sq: Fraction,
                  dim: int) -> "LatticeBasis":
         """A basis from vectors that are independent by construction (the
-        output of a reduction), with its Gram matrix; skips the check."""
+        output of a reduction), with its squared volume; skips the check."""
         basis = object.__new__(cls)
         basis.vectors = vectors
-        basis.gram = gram
+        basis.volume_sq = volume_sq
         basis.dim = dim
         return basis
 
@@ -164,7 +166,9 @@ class LatticeBasis:
 
 @dataclass(frozen=True)
 class GeneratingSet:
-    """Multiset of nonzero lattice vectors with a squared norm bound.
+    """Multiset of nonzero lattice vectors with a squared norm bound, kept
+    in nondecreasing squared norm with lexicographic ties, whatever the
+    input order; zero vectors are dropped.
 
     ``complete`` means the producer asserts the set contains every nonzero
     lattice vector of squared norm at most ``bound_sq``.
@@ -175,14 +179,15 @@ class GeneratingSet:
     complete: bool = False
 
     def __init__(self, vectors, bound_sq, complete=False):
-        vs = tuple(v for v in (as_vector(w) for w in vectors)
-                   if not is_zero_vector(v))
         bound_sq = Fraction(bound_sq)
-        for v in vs:
-            if norm_sq(v) > bound_sq:
+        keyed = [(norm_sq(v), v) for v in map(as_vector, vectors)
+                 if not is_zero_vector(v)]
+        for n, v in keyed:
+            if n > bound_sq:
                 raise ValueError(
                     f"vector {v} exceeds the squared norm bound {bound_sq}")
-        object.__setattr__(self, "vectors", vs)
+        keyed.sort()
+        object.__setattr__(self, "vectors", tuple(v for _, v in keyed))
         object.__setattr__(self, "bound_sq", bound_sq)
         object.__setattr__(self, "complete", bool(complete))
 
@@ -263,9 +268,7 @@ def canonical_basis(vectors: Sequence) -> tuple[Vector, ...]:
 
 
 def _vectors_of(obj) -> tuple[Vector, ...]:
-    if isinstance(obj, LatticeBasis):
-        return obj.vectors
-    if isinstance(obj, GeneratingSet):
+    if isinstance(obj, (LatticeBasis, GeneratingSet)):
         return obj.vectors
     return tuple(as_vector(v) for v in obj)
 
@@ -291,7 +294,8 @@ def solve_in_span(basis: LatticeBasis, v) -> Optional[tuple[Fraction, ...]]:
     if len(v) != basis.dim:
         raise ValueError("dimension mismatch")
     # Gaussian elimination on the (invertible) Gram matrix.
-    aug = [list(basis.gram[i]) + [inner_product(basis.vectors[i], v)]
+    gram = gram_matrix(basis.vectors)
+    aug = [list(gram[i]) + [inner_product(basis.vectors[i], v)]
            for i in range(n)]
     for col in range(n):
         piv = next(i for i in range(col, n) if aug[i][col] != 0)
@@ -320,4 +324,4 @@ def is_member(basis: LatticeBasis, v) -> bool:
 
 def volume_sq(basis: LatticeBasis) -> Fraction:
     """Squared volume (Gram determinant); rank may be below the dimension."""
-    return determinant(basis.gram)
+    return basis.volume_sq

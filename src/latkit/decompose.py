@@ -10,7 +10,6 @@ integral MLLL engine of ``latkit.reduction``; the oracle never uses it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .core import (
@@ -22,7 +21,6 @@ from .core import (
     is_zero_vector,
     norm_sq,
 )
-from .minima import norm_order_key
 from .reduction import (
     DEFAULT_PARAMS,
     IncrementalLattice,
@@ -82,24 +80,24 @@ def is_length_decomposable(v: Vector, s: GeneratingSet) -> bool:
     return False
 
 
-def _assert_pairwise_orthogonal(components: Sequence[LatticeBasis]) -> None:
+def _assert_pairwise_orthogonal(components: Sequence[Component]) -> None:
     for i in range(len(components)):
         for j in range(i + 1, len(components)):
-            for u in components[i].vectors:
-                for w in components[j].vectors:
+            for u in components[i].basis.vectors:
+                for w in components[j].basis.vectors:
                     if inner_product(u, w) != 0:
                         raise AssertionError(
                             "components lost pairwise orthogonality")
 
 
-def _canonicalize(bases: Sequence[LatticeBasis]) -> Decomposition:
+def _canonicalize(components: Sequence[Component]) -> Decomposition:
     """Sort components into the canonical order and assemble the output."""
     keyed = []
-    for b in bases:
-        canon = canonical_basis(b.vectors)
-        keyed.append(((min(norm_sq(v) for v in canon), canon), b))
+    for c in components:
+        canon = canonical_basis(c.basis.vectors)
+        keyed.append(((min(norm_sq(v) for v in canon), canon), c))
     keyed.sort(key=lambda kv: kv[0])
-    comps = tuple(Component(b) for _, b in keyed)
+    comps = tuple(c for _, c in keyed)
     grouped: list[Vector] = []
     indices: list[int] = []
     pos = 1
@@ -116,28 +114,28 @@ def orthogonal_decomposition(s: GeneratingSet,
     """Decompose the lattice generated by the complete set ``s`` into
     indecomposable pairwise-orthogonal sublattices.
 
-    Vectors are scanned by nondecreasing norm; a vector outside the current
-    sum merges every component it is non-orthogonal to into a single new
-    component with a freshly reduced basis.  ``check_invariants`` asserts
-    pairwise orthogonality after every merge.
+    Vectors are scanned in the nondecreasing norm order of ``s``; a vector
+    outside the current sum merges every component it projects onto into a
+    single new component with a freshly reduced basis.  ``check_invariants``
+    asserts pairwise orthogonality after every merge.
     """
     if not s.vectors:
         raise ValueError("generating set is empty")
     if not s.complete:
         raise ValueError("orthogonal decomposition requires a complete set")
-    order = sorted(s.vectors, key=norm_order_key)
-    components: list[LatticeBasis] = [mlll([order[0]], params)]
-    total = IncrementalLattice(len(order[0]), params)
-    total.insert(order[0])
-    for v in order[1:]:
+    first = s.vectors[0]
+    components = [Component(mlll([first], params))]
+    total = IncrementalLattice(len(first), params)
+    total.insert(first)
+    for v in s.vectors[1:]:
         if not total.insert(v):
             continue
         joined = [i for i, c in enumerate(components)
-                  if any(inner_product(v, b) != 0 for b in c.vectors)]
+                  if projection_nonzero(c, v)]
         merged_gens = [v]
         for i in joined:
-            merged_gens.extend(components[i].vectors)
-        merged = mlll(merged_gens, params)
+            merged_gens.extend(components[i].basis.vectors)
+        merged = Component(mlll(merged_gens, params))
         components = [c for i, c in enumerate(components)
                       if i not in joined] + [merged]
         if check_invariants:
@@ -157,7 +155,7 @@ def graph_decomposition_oracle(s: GeneratingSet,
         raise ValueError("orthogonal decomposition requires a complete set")
     vertices = [v for v in s.vectors if not is_length_decomposable(v, s)]
     unvisited = set(range(len(vertices)))
-    bases: list[LatticeBasis] = []
+    components: list[Component] = []
     while unvisited:
         start = min(unvisited)
         stack = [start]
@@ -171,8 +169,9 @@ def graph_decomposition_oracle(s: GeneratingSet,
                 unvisited.discard(j)
                 stack.append(j)
             comp.extend(adjacent)
-        bases.append(mlll([vertices[i] for i in comp], params))
-    return _canonicalize(bases)
+        basis = mlll([vertices[i] for i in comp], params)
+        components.append(Component(basis))
+    return _canonicalize(components)
 
 
 def canonical_component_forms(decomp: Decomposition

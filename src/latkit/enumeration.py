@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .core import GeneratingSet, LatticeBasis, Vector, norm_sq
-from .minima import norm_order_key
+from .core import GeneratingSet, LatticeBasis, Vector, gram_matrix, norm_sq
 from .reduction import (
     DEFAULT_PARAMS,
     IncrementalLattice,
@@ -55,10 +54,11 @@ class EnumerationRequest:
 def enumerate_up_to(req: EnumerationRequest) -> GeneratingSet:
     """All nonzero lattice vectors v with norm_sq(v) <= bound_sq.
 
-    Output is closed under negation and canonically sorted (squared norm,
-    then lexicographic); raises EnumerationCapExceeded rather than ever
-    returning a truncated, silently incomplete set.  Neither the output nor
-    the cap behaviour depends on the basis presented.
+    Output is closed under negation and, as every ``GeneratingSet`` is,
+    sorted by squared norm, then lexicographically; raises
+    EnumerationCapExceeded rather than ever returning a truncated, silently
+    incomplete set.  Neither the output nor the cap behaviour depends on the
+    basis presented.
     """
     lat = IncrementalLattice.from_generators(req.basis.vectors)
     rows, d, lam, scale = lat.rows, lat.d, lat.lam, lat.scale
@@ -94,7 +94,6 @@ def enumerate_up_to(req: EnumerationRequest) -> GeneratingSet:
         coeffs[i] = 0
 
     recurse(n - 1, top.numerator // top.denominator)
-    out.sort(key=norm_order_key)
     return GeneratingSet(tuple(out), req.bound_sq, complete=True)
 
 
@@ -108,7 +107,7 @@ def box_oracle(req: EnumerationRequest) -> GeneratingSet:
     n = basis.rank
     if n > 5:
         raise ValueError("dimension too large for the box oracle")
-    inv_diag = _gram_inverse_diagonal(basis.gram)
+    inv_diag = _gram_inverse_diagonal(gram_matrix(basis.vectors))
     limits = [math.isqrt(math.floor(req.bound_sq * inv_diag[i]))
               for i in range(n)]
     out: list[Vector] = []
@@ -124,7 +123,6 @@ def box_oracle(req: EnumerationRequest) -> GeneratingSet:
             if len(out) >= req.cap:
                 raise EnumerationCapExceeded(req.cap)
             out.append(v)
-    out.sort(key=norm_order_key)
     return GeneratingSet(tuple(out), req.bound_sq, complete=True)
 
 
@@ -158,4 +156,4 @@ def first_minimum_sq(basis: LatticeBasis,
     reduced = mlll(basis.vectors, params)
     bound = min(norm_sq(v) for v in reduced.vectors)
     found = enumerate_up_to(EnumerationRequest(reduced, bound, cap))
-    return min(norm_sq(v) for v in found.vectors)
+    return norm_sq(found.vectors[0])

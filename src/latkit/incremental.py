@@ -86,12 +86,14 @@ def update_step_bound_holds(trace: UpdateTrace, d: int, bound_sq,
 
 
 def update_step_bound_value(d: int, bound_sq, lambda1_sq) -> float:
-    """The bound d + log2(d! (B/lambda_1)^d) as a float, for reporting."""
+    """The bound d + log2(d! (B/lambda_1)^d) as a float, for reporting; on
+    logs of the ratio's numerator and denominator, so no float overflows."""
     lambda1_sq = Fraction(lambda1_sq)
     if lambda1_sq <= 0:
         raise ValueError("lambda1_sq must be positive")
     ratio = Fraction(bound_sq) / lambda1_sq
-    return d + math.log2(math.factorial(d)) + d * math.log2(float(ratio)) / 2
+    log2_ratio = math.log2(ratio.numerator) - math.log2(ratio.denominator)
+    return d + math.log2(math.factorial(d)) + d * log2_ratio / 2
 
 
 def generating_subset(generators: Sequence, trace: UpdateTrace

@@ -1,10 +1,11 @@
 """Successive minima from a complete generating system.
 
-Vectors are scanned in nondecreasing norm and inserted one by one into the
-integral MLLL engine of ``latkit.reduction``; each one that raises the rank
-of the running lattice extends its span and contributes the next minimum.
-A complete input set guarantees the scan meets a witness of every minimum in
-order.  The greedy oracle recomputes ranks by elimination instead.
+Vectors are scanned in nondecreasing norm, the order a ``GeneratingSet``
+keeps them in, and inserted one by one into the integral MLLL engine of
+``latkit.reduction``; each one that raises the rank of the running lattice
+extends its span and contributes the next minimum.  A complete input set
+guarantees the scan meets a witness of every minimum in order.  The greedy
+oracle recomputes ranks by elimination instead.
 """
 
 from __future__ import annotations
@@ -33,11 +34,6 @@ class MinimaResult:
     partial: bool = False
 
 
-def norm_order_key(v: Vector):
-    """Nondecreasing squared norm, ties broken lexicographically."""
-    return (norm_sq(v), v)
-
-
 def successive_minima(s: GeneratingSet,
                       expected_rank: Optional[int] = None) -> MinimaResult:
     """Squared successive minima (and witnesses) of the lattice generated by
@@ -53,7 +49,7 @@ def successive_minima(s: GeneratingSet,
     lattice = IncrementalLattice(len(s.vectors[0]))
     minima: list[Fraction] = []
     witnesses: list[Vector] = []
-    for v in sorted(s.vectors, key=norm_order_key):
+    for v in s.vectors:
         if lattice.insert(v) and lattice.rank > len(minima):
             witnesses.append(v)
             minima.append(norm_sq(v))
@@ -66,12 +62,14 @@ def successive_minima(s: GeneratingSet,
 def greedy_minima_oracle(s: GeneratingSet) -> MinimaResult:
     """Brute-force reference: scan every vector by norm and keep each one
     that is linearly independent of those kept so far (rank recomputation,
-    no subspace shortcut, no early exit)."""
+    no subspace shortcut, no early exit).  It sorts by norm itself rather
+    than trust the order of ``s``, since that order is part of what it
+    checks."""
     if not s.vectors:
         raise ValueError("generating set is empty")
     kept: list[Vector] = []
     minima: list[Fraction] = []
-    for v in sorted(s.vectors, key=norm_order_key):
+    for v in sorted(s.vectors, key=lambda v: (norm_sq(v), v)):
         if rank_of(kept + [v]) > len(kept):
             kept.append(v)
             minima.append(norm_sq(v))

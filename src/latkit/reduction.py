@@ -109,14 +109,11 @@ class IncrementalLattice:
         return Fraction(self.d[n], self.scale ** (2 * n))
 
     def basis(self) -> LatticeBasis:
-        """The current reduced basis; independent by construction."""
+        """The current reduced basis, with ``volume_sq`` from ``d``."""
         s = self.scale
-        s2 = s * s
-        rows = self.rows
-        vectors = tuple(tuple(Fraction(c, s) for c in row) for row in rows)
-        gram = tuple(tuple(Fraction(_idot(u, w), s2) for w in rows)
-                     for u in rows)
-        return LatticeBasis._trusted(vectors, gram, self.dim)
+        vectors = tuple(tuple(Fraction(c, s) for c in row)
+                        for row in self.rows)
+        return LatticeBasis._trusted(vectors, self.volume_sq, self.dim)
 
     def insert(self, v: Vector) -> bool:
         """Localize ``v``; when it lies outside the lattice, add it.

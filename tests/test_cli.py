@@ -1,4 +1,5 @@
 import io
+import math
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -79,6 +80,16 @@ class TestBasisCommand:
         assert code == EXIT_OK
         assert "# rank: 1" in out
         assert "# update_count: 2" in out
+
+    def test_trace_huge_entry(self, tmp_path, capsys):
+        # B^2 / lambda_1^2 = 10^800 is far beyond the float range
+        code = run_cli(["basis", "FILE", "--trace"], tmp_path,
+                       f"1 2\n1\n{10**400}\n")
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "# bound_holds: true" in out
+        value = float(out.split("# bound_value: ")[1].split()[0])
+        assert value == pytest.approx(1 + 400 * math.log2(10))
 
     def test_output_is_reparseable(self, tmp_path, capsys):
         run_cli(["basis", "FILE"], tmp_path, Z2_REDUNDANT)

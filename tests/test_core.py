@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latkit import (
     GeneratingSet,
@@ -182,3 +184,34 @@ class TestGeneratingSet:
     def test_rejects_norm_violation(self):
         with pytest.raises(ValueError):
             GeneratingSet([(2, 0)], bound_sq=1)
+
+    def test_error_names_first_violation_in_input_order(self):
+        with pytest.raises(ValueError, match=r"Fraction\(3, 1\)"):
+            GeneratingSet([(1, 0), (3, 0), (2, 0)], bound_sq=1)
+
+
+@st.composite
+def generator_rows(draw):
+    """Rows of one dimension from a small pool of entries, so that equal
+    norms, sign pairs and duplicates are common."""
+    d = draw(st.integers(1, 3))
+    entry = st.sampled_from([F(0), F(1), F(-1), F(2), F(-2), F(1, 2)])
+    return d, draw(st.lists(st.tuples(*[entry] * d), max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_rows(), st.randoms(use_true_random=False),
+       st.integers(0, 3))
+def test_generating_set_order_ignores_input_order(family, rnd, zeros):
+    d, rows = family
+    bound = max([norm_sq(r) for r in rows] + [F(1)])
+    want = GeneratingSet(rows, bound)
+    perm = rows[:]
+    rnd.shuffle(perm)
+    for _ in range(zeros):
+        perm.insert(rnd.randrange(len(perm) + 1), (F(0),) * d)
+    got = GeneratingSet(perm, bound)
+    assert got.vectors == want.vectors
+    keys = [(norm_sq(v), v) for v in got.vectors]
+    assert keys == sorted(keys)
+    assert sorted(got.vectors) == sorted(r for r in rows if any(r))
