@@ -15,12 +15,21 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import hashlib
 import random
 import sys
 import time
 from fractions import Fraction
 from typing import Optional, Sequence
+
+# The builtin SHA-256 module, as ``random`` takes its SHA-512: ``hashlib``
+# loads OpenSSL, several MB of resident memory for one digest per call.
+try:
+    from _sha2 import sha256 as _sha256          # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256    # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from .core import (
     LatticeBasis,
@@ -133,7 +142,7 @@ def _read_input(path: str) -> str:
 
 
 def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return _sha256(text.encode()).hexdigest()[:16]
 
 
 def _rational_option(name: str, value: str) -> Fraction:
@@ -340,9 +349,19 @@ def bench_row(seed: int, d: int, m: int, entry_range: int,
     }
 
 
+def _at_least(name: str, values: list[int], low: int) -> None:
+    for x in values:
+        if x < low:
+            raise UsageError(f"{name} must be at least {low}, got {x}")
+
+
 def cmd_bench(args) -> int:
     dims = _int_list("--dims", args.dims)
     counts = _int_list("--gen-counts", args.gen_counts)
+    _at_least("--dims", dims, 1)
+    _at_least("--gen-counts", counts, 1)
+    _at_least("--entry-range", [args.entry_range], 1)
+    _at_least("--reps", [args.reps], 0)
     params = _params(args)
     print("seed,d,m,update_count,theorem_bound,t_incremental,t_batch_mlll")
     idx = 0

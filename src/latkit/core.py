@@ -2,7 +2,10 @@
 
 Vectors are tuples of ``fractions.Fraction``; every operation here is exact.
 Norms and volumes are carried as squared quantities so all comparisons stay
-rational.
+rational.  Where a whole family of vectors is processed at once (the
+independence check of ``LatticeBasis``, the norm order of ``GeneratingSet``,
+the Hermite normal form) it is first rescaled to integer rows over one common
+denominator, and the arithmetic runs on those integers.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -22,7 +26,9 @@ def vec(*coords) -> Vector:
 
 
 def as_vector(coords: Iterable) -> Vector:
-    return tuple(Fraction(c) for c in coords)
+    """Coordinates as a tuple of Fractions; entries that already are
+    Fractions (immutable) are kept as they are, not copied."""
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
 def is_zero_vector(v: Vector) -> bool:
@@ -37,6 +43,10 @@ def inner_product(u: Vector, v: Vector) -> Fraction:
 
 def norm_sq(v: Vector) -> Fraction:
     return inner_product(v, v)
+
+
+def _idot(u, v) -> int:
+    return sum(map(mul, u, v))
 
 
 def gram_matrix(vectors: Sequence[Vector]) -> Matrix:
@@ -116,7 +126,11 @@ def rank_of(vectors: Sequence[Vector]) -> int:
 class LatticeBasis:
     """Ordered linearly independent vectors with their squared volume (the
     Gram determinant), computed once: by the independence check, or by the
-    MLLL engine that hands its output to ``_trusted``."""
+    MLLL engine that hands its output to ``_trusted``.
+
+    The check runs in integers: the vectors are rescaled by the lcm ``s`` of
+    their denominators, the Gram determinant ``D`` of the integer rows is
+    taken fraction-free, and ``volume_sq = D / s^(2n)``."""
 
     __slots__ = ("vectors", "volume_sq", "dim")
 
@@ -131,11 +145,13 @@ class LatticeBasis:
             dim = d
             if len(vs) > d:
                 raise ValueError("more basis vectors than the dimension")
+        ints, scale = integerize(vs)
+        det = _det_bareiss_int([[_idot(u, v) for v in ints] for u in ints])
+        if det == 0:
+            raise ValueError("basis vectors are linearly dependent")
         self.vectors = vs
         self.dim = dim if dim is not None else 0
-        self.volume_sq = determinant(gram_matrix(vs))
-        if self.volume_sq == 0:
-            raise ValueError("basis vectors are linearly dependent")
+        self.volume_sq = Fraction(det, scale ** (2 * len(vs)))
 
     @classmethod
     def _trusted(cls, vectors: tuple[Vector, ...], volume_sq: Fraction,
@@ -172,6 +188,12 @@ class GeneratingSet:
 
     ``complete`` means the producer asserts the set contains every nonzero
     lattice vector of squared norm at most ``bound_sq``.
+
+    Both constructors run one integer core: the bound check and the sort
+    work on integer rows over a positive common denominator, and each
+    output ``Fraction`` is formed once, at the end.  ``__init__`` rescales
+    its rational vectors to such rows (``integerize``); the enumerator hands
+    its integer rows to ``from_rows`` directly.
     """
 
     vectors: tuple[Vector, ...]
@@ -179,15 +201,43 @@ class GeneratingSet:
     complete: bool = False
 
     def __init__(self, vectors, bound_sq, complete=False):
+        rows, scale = integerize(vectors)
+        self._init_rows(rows, scale, bound_sq, complete)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Sequence[int]], scale: int, bound_sq,
+                  complete: bool = False) -> "GeneratingSet":
+        """The set of the vectors ``row / scale``, for integer rows over one
+        positive common denominator ``scale``; zero rows are dropped."""
+        s = object.__new__(cls)
+        s._init_rows(rows, scale, bound_sq, complete)
+        return s
+
+    def _init_rows(self, rows, scale, bound_sq, complete) -> None:
+        if scale < 1:
+            raise ValueError(f"scale must be a positive integer, got {scale}")
         bound_sq = Fraction(bound_sq)
-        keyed = [(norm_sq(v), v) for v in map(as_vector, vectors)
-                 if not is_zero_vector(v)]
-        for n, v in keyed:
-            if n > bound_sq:
+        # n <= bound_sq * scale^2 iff n <= its floor, n being an integer.
+        limit = bound_sq.numerator * scale * scale // bound_sq.denominator
+        keyed = []
+        for r in rows:
+            r = tuple(r)
+            n = _idot(r, r)
+            if not n:
+                continue
+            if n > limit:
+                v = tuple(Fraction(c, scale) for c in r)
                 raise ValueError(
                     f"vector {v} exceeds the squared norm bound {bound_sq}")
+            keyed.append((n, r))
+        # With scale > 0, (n, r) orders as (norm_sq, r / scale) does.
         keyed.sort()
-        object.__setattr__(self, "vectors", tuple(v for _, v in keyed))
+        # One Fraction per distinct entry; Fractions are immutable, so the
+        # vectors can share them.
+        frac = {c: Fraction(c, scale)
+                for c in {c for _, r in keyed for c in r}}
+        object.__setattr__(self, "vectors", tuple(
+            tuple(map(frac.__getitem__, r)) for _, r in keyed))
         object.__setattr__(self, "bound_sq", bound_sq)
         object.__setattr__(self, "complete", bool(complete))
 
@@ -226,12 +276,19 @@ def _row_hnf(rows: list[list[int]], d: int) -> list[list[int]]:
     return [r for r in rows if any(r)]
 
 
-def integerize(vectors: Sequence[Vector]) -> tuple[list[list[int]], int]:
-    """Rescale rational vectors by the lcm of all denominators."""
+def integerize(vectors: Iterable) -> tuple[list[list[int]], int]:
+    """Rescale rational vectors by the lcm of all denominators: integer rows
+    and that common denominator."""
     vs = [as_vector(v) for v in vectors]
-    denoms = [c.denominator for v in vs for c in v]
-    scale = math.lcm(*denoms) if denoms else 1
-    return [[int(c * scale) for c in v] for v in vs], scale
+    scale = math.lcm(*{c.denominator for v in vs for c in v})
+    return [[c.numerator * (scale // c.denominator) for c in v]
+            for v in vs], scale
+
+
+def _column_hnf(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """Column-style HNF of a nonempty list of integer rows of one length."""
+    red = _row_hnf([r[::-1] for r in rows], len(rows[0]))
+    return tuple(tuple(reversed(r)) for r in reversed(red))
 
 
 def hnf(vectors: Sequence) -> tuple[tuple[int, ...], ...]:
@@ -245,26 +302,21 @@ def hnf(vectors: Sequence) -> tuple[tuple[int, ...], ...]:
         for c in v:
             if c.denominator != 1:
                 raise ValueError(f"hnf requires integer coordinates, got {c}")
-    d = len(vs[0])
-    rows = [[int(c) for c in reversed(v)] for v in vs]
-    red = _row_hnf(rows, d)
-    return tuple(tuple(reversed(r)) for r in reversed(red))
+    return _column_hnf([[int(c) for c in v] for v in vs])
 
 
 def canonical_basis(vectors: Sequence) -> tuple[Vector, ...]:
     """Presentation-independent canonical basis of the generated lattice.
 
-    Rational generators are rescaled to integers, brought to HNF, and scaled
-    back; hnf(s*L) = s*hnf(L), so the result does not depend on the chosen
-    scale.
+    Rational generators are rescaled to integers once, brought to HNF, and
+    scaled back; hnf(s*L) = s*hnf(L), so the result does not depend on the
+    chosen scale.
     """
-    vs = [as_vector(v) for v in vectors]
-    vs = [v for v in vs if not is_zero_vector(v)]
-    if not vs:
+    ints, scale = integerize(vectors)
+    if not ints:
         return ()
-    ints, scale = integerize(vs)
     return tuple(tuple(Fraction(c, scale) for c in row)
-                 for row in hnf(ints))
+                 for row in _column_hnf(ints))
 
 
 def _vectors_of(obj) -> tuple[Vector, ...]:

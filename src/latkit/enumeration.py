@@ -58,7 +58,10 @@ def enumerate_up_to(req: EnumerationRequest) -> GeneratingSet:
     sorted by squared norm, then lexicographically; raises
     EnumerationCapExceeded rather than ever returning a truncated, silently
     incomplete set.  Neither the output nor the cap behaviour depends on the
-    basis presented.
+    basis presented.  The search stays in the engine's integers up to the
+    output: each vector found is kept as its integer row over the engine's
+    ``scale``, and ``GeneratingSet.from_rows`` checks, sorts and converts
+    them.
     """
     lat = IncrementalLattice.from_generators(req.basis.vectors)
     rows, d, lam, scale = lat.rows, lat.d, lat.lam, lat.scale
@@ -73,7 +76,7 @@ def enumerate_up_to(req: EnumerationRequest) -> GeneratingSet:
     top = req.bound_sq * scale * scale * lcm
     cols = list(zip(*rows))
     coeffs = [0] * n
-    out: list[Vector] = []
+    out: list[tuple[int, ...]] = []     # vectors times scale
 
     def recurse(i: int, budget: int) -> None:
         # budget = floor(lcm scale^2 bound_sq) - (terms of levels > i)
@@ -88,13 +91,12 @@ def enumerate_up_to(req: EnumerationRequest) -> GeneratingSet:
             elif any(coeffs):
                 if len(out) >= req.cap:
                     raise EnumerationCapExceeded(req.cap)
-                out.append(tuple(
-                    Fraction(sum(map(mul, coeffs, col)), scale)
-                    for col in cols))
+                out.append(tuple(sum(map(mul, coeffs, col))
+                                 for col in cols))
         coeffs[i] = 0
 
     recurse(n - 1, top.numerator // top.denominator)
-    return GeneratingSet(tuple(out), req.bound_sq, complete=True)
+    return GeneratingSet.from_rows(out, scale, req.bound_sq, complete=True)
 
 
 def box_oracle(req: EnumerationRequest) -> GeneratingSet:

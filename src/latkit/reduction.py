@@ -17,12 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Optional, Sequence
 
 from .core import (
     LatticeBasis,
     Vector,
+    _idot,
     as_vector,
     inner_product,
     integerize,
@@ -43,10 +43,6 @@ class ReductionParams:
 
 
 DEFAULT_PARAMS = ReductionParams()
-
-
-def _idot(u, v) -> int:
-    return sum(map(mul, u, v))
 
 
 class IncrementalLattice:

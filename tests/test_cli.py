@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import subprocess
@@ -6,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from latkit import cli
 from latkit.cli import (
     EXIT_BOUND,
     EXIT_CAP,
@@ -97,6 +99,11 @@ class TestBasisCommand:
         d, m, rows = parse_lattice_file(out)
         assert (d, m) == (2, 2)
 
+    def test_input_digest_is_sha256_prefix(self, tmp_path, capsys):
+        run_cli(["basis", "FILE"], tmp_path, Z2_REDUNDANT)
+        want = hashlib.sha256(Z2_REDUNDANT.encode()).hexdigest()[:16]
+        assert f"# input: {want}" in capsys.readouterr().out.splitlines()
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         code = run_cli(["basis", "FILE"], tmp_path, "2 1\n1 2 x\n")
         assert code == EXIT_PARSE
@@ -152,6 +159,18 @@ class TestExitCodes:
     @pytest.mark.parametrize("option", ["--dims", "--gen-counts"])
     def test_bench_list_not_integer(self, option, capsys):
         code = main(["bench", option, "x", "--reps", "1"])
+        self._check(code, EXIT_PARSE, capsys)
+
+    @pytest.mark.parametrize("args", [
+        ["--dims", "0"], ["--dims", "-2"], ["--dims", "3,0"],
+        ["--gen-counts", "0"], ["--entry-range", "0"],
+        ["--entry-range", "-1"], ["--reps", "-1"]])
+    def test_bench_option_below_minimum(self, args, monkeypatch, capsys):
+        def no_instance(*_):
+            raise AssertionError("an instance was generated")
+
+        monkeypatch.setattr(cli, "random_instance", no_instance)
+        code = main(["bench", *args])
         self._check(code, EXIT_PARSE, capsys)
 
     def test_minima_has_no_delta(self, tmp_path, capsys):
@@ -248,6 +267,20 @@ class TestBenchCommand:
 
 
 class TestEntryPoint:
+    def test_cli_does_not_load_hashlib(self):
+        """The digest uses the builtin SHA-256 module where the interpreter
+        has one, so a ``latkit`` process does not load OpenSSL."""
+        code = ("import importlib.util, sys, latkit.cli; "
+                "builtin = any(importlib.util.find_spec(m) "
+                "for m in ('_sha2', '_sha256')); "
+                "print(builtin, 'hashlib' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, check=True)
+        builtin, loaded = proc.stdout.split()
+        if builtin == "False":
+            pytest.skip("this interpreter has no builtin SHA-256 module")
+        assert loaded == "False"
+
     def test_console_script_installed(self, tmp_path):
         path = tmp_path / "z2.lat"
         path.write_text(Z2_REDUNDANT)

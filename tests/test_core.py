@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from latkit import (
     GeneratingSet,
     LatticeBasis,
+    canonical_basis,
     determinant,
+    gram_matrix,
     hnf,
     inner_product,
     is_member,
@@ -18,6 +20,8 @@ from latkit import (
     vec,
     volume_sq,
 )
+
+from reference_hnf import reference_canonical_basis, reference_hnf
 
 
 class TestInnerProduct:
@@ -215,3 +219,84 @@ def test_generating_set_order_ignores_input_order(family, rnd, zeros):
     keys = [(norm_sq(v), v) for v in got.vectors]
     assert keys == sorted(keys)
     assert sorted(got.vectors) == sorted(r for r in rows if any(r))
+
+
+def _outcome(build):
+    """The constructed set, or the message of the ValueError it raised."""
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestFromRows:
+    def test_error_names_first_violation_in_input_order(self):
+        with pytest.raises(ValueError, match=r"\(Fraction\(3, 2\), "):
+            GeneratingSet.from_rows([(1, 0), (3, 0), (4, 0)], 2, 1)
+
+    def test_rejects_non_positive_scale(self):
+        with pytest.raises(ValueError):
+            GeneratingSet.from_rows([(1, 0)], 0, 1)
+
+    def test_scale_one_gives_integer_fractions(self):
+        s = GeneratingSet.from_rows([(0, 2), (0, 0), (1, 0)], 1, 4)
+        assert s.vectors == ((F(1), F(0)), (F(0), F(2)))
+
+
+@st.composite
+def integer_rows(draw):
+    """Integer rows of one dimension over a common denominator, with zero
+    rows and duplicates common, and a bound that some rows may exceed."""
+    d = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1, 2, 3, 6]))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=12))
+    rows += draw(st.lists(st.sampled_from(rows or [(0,) * d]), max_size=4))
+    bound = F(draw(st.integers(1, 30)), draw(st.integers(1, 4)))
+    return rows, scale, bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_rows(), st.booleans())
+def test_from_rows_matches_rational_constructor(case, complete):
+    rows, scale, bound = case
+    want = _outcome(lambda: GeneratingSet(
+        [[F(c, scale) for c in r] for r in rows], bound, complete))
+    got = _outcome(lambda: GeneratingSet.from_rows(
+        rows, scale, bound, complete))
+    assert got == want
+
+
+RATIONAL_ENTRIES = st.sampled_from(
+    [F(0), F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3), F(5, 4)])
+
+
+@st.composite
+def rational_rows(draw, max_rows):
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(0, max_rows(d)))
+    return [tuple(draw(RATIONAL_ENTRIES) for _ in range(d))
+            for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_rows(lambda d: d))
+def test_basis_volume_is_the_gram_determinant(rows):
+    det = determinant(gram_matrix(rows))
+    if det == 0:
+        with pytest.raises(ValueError, match="linearly dependent"):
+            LatticeBasis(rows)
+    else:
+        assert LatticeBasis(rows).volume_sq == det
+
+
+def test_dependent_rational_basis_raises():
+    with pytest.raises(ValueError, match="linearly dependent"):
+        LatticeBasis([(F(1, 2), F(1, 3)), (F(3, 2), 1)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_rows(lambda d: d + 3))
+def test_canonical_basis_matches_frozen_reference(rows):
+    assert canonical_basis(rows) == reference_canonical_basis(rows)
+    ints = [tuple(c * 12 for c in r) for r in rows]     # clears denominators
+    assert hnf(ints) == reference_hnf(ints)
