@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import math
 import random
 import sys
 import time
@@ -183,6 +184,7 @@ def _bound_sq(args) -> Fraction:
 
 def cmd_basis(args) -> int:
     params = _params(args)
+    _at_least("--cap", [args.cap], 0)
     text = _read_input(args.file)
     d, _, rows = parse_lattice_file(text)
     t0 = time.perf_counter()
@@ -232,6 +234,7 @@ def _input_basis(args) -> tuple[str, int, LatticeBasis]:
 
 def cmd_minima(args) -> int:
     bound_sq = _bound_sq(args)
+    _at_least("--cap", [args.cap], 0)
     text, d, basis = _input_basis(args)
     s = enumerate_up_to(EnumerationRequest(basis, bound_sq, args.cap))
     if not s.vectors:
@@ -263,16 +266,21 @@ def cmd_minima(args) -> int:
 def cmd_decompose(args) -> int:
     params = _params(args)
     bound_sq = _bound_sq(args)
+    _at_least("--cap", [args.cap], 0)
     text, d, basis = _input_basis(args)
     s = enumerate_up_to(EnumerationRequest(basis, bound_sq, args.cap))
-    if not s.vectors or not lattice_equal(s, basis):
+    decomp = orthogonal_decomposition(s, params) if s.vectors else None
+    # s lies in L and the components are pairwise orthogonal: s generates L
+    # iff their ranks sum to L's and their squared volumes multiply to L's.
+    comps = decomp.components if decomp else ()
+    if not comps or sum(c.rank for c in comps) != basis.rank or \
+            math.prod(c.basis.volume_sq for c in comps) != basis.volume_sq:
         got = len({v for v in s.vectors})
         print(
             f"error: insufficient bound: the {got} enumerated vectors do "
             f"not generate the full rank-{basis.rank} lattice",
             file=sys.stderr)
         return EXIT_BOUND
-    decomp = orthogonal_decomposition(s, params)
     lines = [
         f"# command: decompose",
         f"# input: {_digest(text)}",

@@ -11,7 +11,7 @@ denominator, and the arithmetic runs on those integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -193,12 +193,17 @@ class GeneratingSet:
     work on integer rows over a positive common denominator, and each
     output ``Fraction`` is formed once, at the end.  ``__init__`` rescales
     its rational vectors to such rows (``integerize``); the enumerator hands
-    its integer rows to ``from_rows`` directly.
+    its integer rows to ``from_rows`` directly.  The set keeps those rows
+    for the MLLL engine, in the order of ``vectors``: ``rows[i] / scale ==
+    vectors[i]``.
     """
 
     vectors: tuple[Vector, ...]
     bound_sq: Fraction
     complete: bool = False
+    rows: tuple[tuple[int, ...], ...] = field(
+        init=False, compare=False, repr=False)
+    scale: int = field(init=False, compare=False, repr=False)
 
     def __init__(self, vectors, bound_sq, complete=False):
         rows, scale = integerize(vectors)
@@ -232,12 +237,14 @@ class GeneratingSet:
             keyed.append((n, r))
         # With scale > 0, (n, r) orders as (norm_sq, r / scale) does.
         keyed.sort()
+        rows = tuple(r for _, r in keyed)
         # One Fraction per distinct entry; Fractions are immutable, so the
         # vectors can share them.
-        frac = {c: Fraction(c, scale)
-                for c in {c for _, r in keyed for c in r}}
+        frac = {c: Fraction(c, scale) for c in {c for r in rows for c in r}}
         object.__setattr__(self, "vectors", tuple(
-            tuple(map(frac.__getitem__, r)) for _, r in keyed))
+            tuple(map(frac.__getitem__, r)) for r in rows))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "bound_sq", bound_sq)
         object.__setattr__(self, "complete", bool(complete))
 

@@ -123,12 +123,10 @@ def orthogonal_decomposition(s: GeneratingSet,
         raise ValueError("generating set is empty")
     if not s.complete:
         raise ValueError("orthogonal decomposition requires a complete set")
-    first = s.vectors[0]
-    components = [Component(mlll([first], params))]
-    total = IncrementalLattice(len(first), params)
-    total.insert(first)
-    for v in s.vectors[1:]:
-        if not total.insert(v):
+    components: list[Component] = []
+    total = IncrementalLattice(len(s.rows[0]), params, s.scale)
+    for v, row in zip(s.vectors, s.rows):
+        if not total.insert(row):
             continue
         joined = [i for i, c in enumerate(components)
                   if projection_nonzero(c, v)]

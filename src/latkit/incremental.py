@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import LatticeBasis, as_vector, is_zero_vector
+from .core import LatticeBasis, as_vector
 from .reduction import DEFAULT_PARAMS, IncrementalLattice, ReductionParams
 
 
@@ -50,17 +50,13 @@ def incremental_basis(generators: Sequence, params: ReductionParams =
     one trace record (duplicates and members count as localization-only
     steps).
     """
-    vs = [as_vector(v) for v in generators]
-    dims = {len(v) for v in vs}
-    if len(dims) > 1:
-        raise ValueError("generators have mixed dimensions")
-    lattice = IncrementalLattice(dims.pop() if dims else 0, params)
+    lattice, rows = IncrementalLattice.over(generators, params)
     records = []
     volume = lattice.volume_sq
-    for i, v in enumerate(vs):
-        if is_zero_vector(v):
+    for i, row in enumerate(rows):
+        if not any(row):
             continue
-        was_update = lattice.insert(v)
+        was_update = lattice.insert(row)
         if was_update:
             volume = lattice.volume_sq
         records.append(InsertionRecord(i, was_update, lattice.rank, volume))

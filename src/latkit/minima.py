@@ -19,6 +19,7 @@ from .core import (
     GeneratingSet,
     LatticeBasis,
     Vector,
+    _idot,
     norm_sq,
     rank_of,
     volume_sq,
@@ -46,13 +47,13 @@ def successive_minima(s: GeneratingSet,
         raise ValueError("generating set is empty")
     if not s.complete:
         raise ValueError("successive minima require a complete set")
-    lattice = IncrementalLattice(len(s.vectors[0]))
+    lattice = IncrementalLattice(len(s.rows[0]), scale=s.scale)
     minima: list[Fraction] = []
     witnesses: list[Vector] = []
-    for v in s.vectors:
-        if lattice.insert(v) and lattice.rank > len(minima):
+    for v, row in zip(s.vectors, s.rows):
+        if lattice.insert(row) and lattice.rank > len(minima):
             witnesses.append(v)
-            minima.append(norm_sq(v))
+            minima.append(Fraction(_idot(row, row), s.scale ** 2))
             if lattice.rank == lattice.dim:
                 break
     partial = expected_rank is not None and len(minima) < expected_rank

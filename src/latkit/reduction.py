@@ -3,18 +3,18 @@
 The reduction accepts linearly dependent (and duplicate) input vectors and
 returns an LLL-reduced basis of the lattice they generate.  One engine,
 ``IncrementalLattice``, keeps the reduction state between insertions in
-exact integers: the vectors over one common denominator, the Gram
-determinants ``d_i`` and ``lambda_ij = d_{j+1} mu_ij`` (de Weger 1987; Cohen,
-Alg. 2.6.7), with Pohst's handling of a dependent vector.  All three
-algorithms run on it: batch reduction (``mlll``) and the incremental basis
-construction, the successive-minima scan and the short-vector enumerator
-(which reads the reduced basis's Gram-Schmidt form from ``d`` and
-``lambda``), and the decomposition's membership scan.
+exact integers: the vectors as integer rows over a common denominator fixed
+when the engine is built, the Gram determinants ``d_i`` and ``lambda_ij =
+d_{j+1} mu_ij`` (de Weger 1987; Cohen, Alg. 2.6.7), with Pohst's handling
+of a dependent vector.  All three algorithms run on it: batch reduction
+(``mlll``) and the incremental basis construction, the successive-minima
+scan and the short-vector enumerator (which reads the reduced basis's
+Gram-Schmidt form from ``d`` and ``lambda``), and the decomposition's
+membership scan.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -26,7 +26,6 @@ from .core import (
     as_vector,
     inner_product,
     integerize,
-    is_zero_vector,
 )
 
 
@@ -50,11 +49,12 @@ class IncrementalLattice:
     far, with its integral Gram-Schmidt state.
 
     Between insertions ``rows`` holds ``n`` independent integer vectors
-    ``b_0..b_{n-1}``; the lattice is ``rows / scale``, where ``scale`` is the
-    least common denominator of everything inserted.  ``d[i]`` is the Gram
-    determinant of ``b_0..b_{i-1}`` and ``lam[i][j] = d[j+1] mu_ij`` for
-    ``j < i``; both are integers, so the loop needs no ``b*`` vectors and no
-    ``Fraction``.
+    ``b_0..b_{n-1}``; the lattice is ``rows / scale``.  The scale is fixed
+    when the engine is built (Cohen's Alg. 2.6.7 works at one integer
+    scale), and every vector inserted is an integer row over it.  ``d[i]``
+    is the Gram determinant of ``b_0..b_{i-1}`` and ``lam[i][j] = d[j+1]
+    mu_ij`` for ``j < i``; both are integers, so the loop needs no ``b*``
+    vectors and no ``Fraction``.
 
     During an update at most one vector has ``b* = 0`` (the new vector, when
     it lies in the span).  Its slot ``z`` is tracked explicitly: ``d`` counts
@@ -70,7 +70,7 @@ class IncrementalLattice:
                  scale: int = 1):
         self.dim = dim
         self.scale = scale
-        self.rows: list[list[int]] = []
+        self.rows: list[Sequence[int]] = []
         self.d: list[int] = [1]
         self.lam: list[list[int]] = []
         self.swaps = 0
@@ -78,20 +78,27 @@ class IncrementalLattice:
         self._q = params.delta.denominator
 
     @classmethod
+    def over(cls, generators: Sequence,
+             params: ReductionParams = DEFAULT_PARAMS
+             ) -> tuple["IncrementalLattice", list[list[int]]]:
+        """An empty engine at the common denominator of ``generators``, and
+        their integer rows over it (zero rows included)."""
+        rows, scale = integerize(generators)
+        dims = {len(r) for r in rows}
+        if len(dims) > 1:
+            raise ValueError("generators have mixed dimensions")
+        return cls(dims.pop() if dims else 0, params, scale), rows
+
+    @classmethod
     def from_generators(cls, generators: Sequence,
                         params: ReductionParams = DEFAULT_PARAMS
                         ) -> "IncrementalLattice":
         """Batch MLLL: every nonzero generator goes through the swap loop in
         order, with no membership shortcut."""
-        vs = [as_vector(v) for v in generators]
-        dims = {len(v) for v in vs}
-        if len(dims) > 1:
-            raise ValueError("generators have mixed dimensions")
-        vs = [v for v in vs if not is_zero_vector(v)]
-        ints, scale = integerize(vs)
-        lat = cls(dims.pop() if dims else 0, params, scale)
-        for row in ints:
-            lat._add(row, *lat._gram_schmidt_row(row))
+        lat, rows = cls.over(generators, params)
+        for row in rows:
+            if any(row):
+                lat._add(row, *lat._gram_schmidt_row(row))
         return lat
 
     @property
@@ -111,15 +118,15 @@ class IncrementalLattice:
                         for row in self.rows)
         return LatticeBasis._trusted(vectors, self.volume_sq, self.dim)
 
-    def insert(self, v: Vector) -> bool:
-        """Localize ``v``; when it lies outside the lattice, add it.
+    def insert(self, row: Sequence[int]) -> bool:
+        """Localize the vector ``row / scale``, given as its integer row
+        over the engine's scale; when it lies outside the lattice, add it.
 
         Returns whether the insertion was an update.  Membership is the
-        nearest-plane reduction of v's lambda-row: v is in the lattice iff
-        it lies in the span (``d_{n+1} = 0``) and each coefficient, taken
-        from the top, is an integer multiple of its ``d``.
+        nearest-plane reduction of the lambda-row: the vector is in the
+        lattice iff it lies in the span (``d_{n+1} = 0``) and each
+        coefficient, taken from the top, is an integer multiple of its ``d``.
         """
-        row = self._integer_row(v)
         lam_row, dn = self._gram_schmidt_row(row)
         if dn == 0 and self._reduces_to_zero(lam_row):
             return False
@@ -127,27 +134,7 @@ class IncrementalLattice:
         return True
 
     # -- state ----------------------------------------------------------
-    def _integer_row(self, v: Vector) -> list[int]:
-        """v times ``scale``, first raising ``scale`` (and rescaling the
-        state) when v has a denominator that does not divide it."""
-        s = self.scale
-        new = math.lcm(s, *(c.denominator for c in v))
-        if new != s:
-            self._rescale(new // s)
-            s = new
-        return [c.numerator * (s // c.denominator) for c in v]
-
-    def _rescale(self, f: int) -> None:
-        """Multiply every vector by f: d_i scales by f^(2i), lambda_ij like
-        d_{j+1}.  Decisions depend only on mu and ratios, so none change."""
-        f2 = f * f
-        self.scale *= f
-        self.rows = [[f * c for c in row] for row in self.rows]
-        self.d = [x * f2 ** i for i, x in enumerate(self.d)]
-        self.lam = [[x * f2 ** (j + 1) for j, x in enumerate(row)]
-                    for row in self.lam]
-
-    def _gram_schmidt_row(self, v: list[int]) -> tuple[list[int], int]:
+    def _gram_schmidt_row(self, v: Sequence[int]) -> tuple[list[int], int]:
         """Integral Gram-Schmidt of v against the current basis: the row
         ``lam_vj = d_{j+1} mu_vj`` and the next Gram determinant
         ``d_{n+1}`` (zero iff v lies in the span)."""
@@ -179,7 +166,7 @@ class IncrementalLattice:
         return True
 
     # -- the MLLL loop --------------------------------------------------
-    def _add(self, row: list[int], lam_row: list[int], dn: int) -> None:
+    def _add(self, row: Sequence[int], lam_row: list[int], dn: int) -> None:
         """Append b_n and run the swap loop from k = n until the basis is
         reduced again."""
         rows, d, lam = self.rows, self.d, self.lam

@@ -1,13 +1,19 @@
+import contextlib
 import hashlib
 import io
 import math
+import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latkit import cli
+from latkit import LatticeBasis, cli, enumerate_up_to, lattice_equal
+from latkit.enumeration import EnumerationRequest
 from latkit.cli import (
     EXIT_BOUND,
     EXIT_CAP,
@@ -33,6 +39,10 @@ def run_cli(args, tmp_path, content=None, capsys=None):
 Z2_REDUNDANT = "# comment line\n2 3\n1 0\n0 1\n1 1\n"
 DIAG = "2 2\n1 0\n0 2\n"
 GCD = "1 2\n4\n6\n"
+# 2Z^5 glued by (1,1,1,1,1), of norm 5: the vectors of squared norm at most
+# 4 span it but generate only the index-2 sublattice 2Z^5.
+GLUE5 = ("5 5\n2 0 0 0 0\n0 2 0 0 0\n0 0 2 0 0\n0 0 0 2 0\n"
+         "1 1 1 1 1\n")
 
 
 class TestParsing:
@@ -156,6 +166,15 @@ class TestExitCodes:
                         "--cap", "10"], tmp_path, "1 1\n1\n")
         self._check(code, EXIT_CAP, capsys)
 
+    @pytest.mark.parametrize("args, content", [
+        (["basis", "FILE", "--trace"], Z2_REDUNDANT),
+        (["minima", "FILE", "--bound-sq", "1"], "2 2\n1 0\n0 1\n"),
+        (["decompose", "FILE", "--bound-sq", "4"], DIAG)],
+        ids=["basis", "minima", "decompose"])
+    def test_negative_cap(self, args, content, tmp_path, capsys):
+        code = run_cli(args + ["--cap", "-1"], tmp_path, content)
+        self._check(code, EXIT_PARSE, capsys)
+
     @pytest.mark.parametrize("option", ["--dims", "--gen-counts"])
     def test_bench_list_not_integer(self, option, capsys):
         code = main(["bench", option, "x", "--reps", "1"])
@@ -240,6 +259,78 @@ class TestDecomposeCommand:
         code = run_cli(["decompose", "FILE", "--bound-sq", "1"],
                        tmp_path, DIAG)
         assert code == EXIT_BOUND
+
+    @pytest.mark.parametrize("content, bound_sq", [
+        (GLUE5, "4"),                   # full rank, index 2
+        ("2 2\n1 0\n1/2 1\n", "1"),    # rank 1, the same squared volume
+    ], ids=["same-rank", "same-volume"])
+    def test_insufficient_bound_needs_rank_and_volume(
+            self, content, bound_sq, tmp_path, capsys):
+        code = run_cli(["decompose", "FILE", "--bound-sq", bound_sq],
+                       tmp_path, content)
+        assert code == EXIT_BOUND
+        assert capsys.readouterr().out == ""
+
+
+# Blocks of the orthogonal sums below: scaled copies of Z, Gauss-reduced
+# rank-2 blocks, a scaled copy of D4 and the lattice of GLUE5.
+BLOCKS = [[(2,)], [(3,)], [(2, 1), (-1, 2)], [(2, 1), (1, -2)],
+          [(2, 0), (1, 3)], [(2, 1), (-2, 2)],
+          [(2, -2, 0, 0), (0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 2, 2)],
+          [(2, 0, 0, 0, 0), (0, 2, 0, 0, 0), (0, 0, 2, 0, 0),
+           (0, 0, 0, 2, 0), (1, 1, 1, 1, 1)]]
+
+
+@st.composite
+def scrambled_blocks(draw):
+    """An orthogonal sum of blocks of total rank at most 5, scrambled by
+    unimodular row operations, with the largest squared norm of a block
+    basis vector: the bound at which the enumeration reaches every block."""
+    parts = draw(st.lists(st.sampled_from(BLOCKS), min_size=1, max_size=3)
+                 .filter(lambda ps: sum(len(p) for p in ps) <= 5))
+    n = sum(len(p) for p in parts)
+    rows, offset = [], 0
+    for p in parts:
+        for v in p:
+            rows.append([0] * offset + list(v) + [0] * (n - offset - len(v)))
+        offset += len(p)
+    bound = max(sum(c * c for c in r) for r in rows)
+    if n > 1:
+        for a, b, s in draw(st.lists(st.tuples(
+                st.integers(0, n - 1), st.integers(0, n - 2),
+                st.sampled_from([-1, 1])), max_size=n)):
+            b += b >= a     # any row other than a
+            rows[a] = [x + s * y for x, y in zip(rows[a], rows[b])]
+    return rows, bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(scrambled_blocks(), st.data())
+def test_decompose_exit_code_matches_hnf_decision(case, data):
+    """``decompose`` exits 4 exactly when the enumerated vectors do not
+    generate the input lattice, as the HNF oracle decides it; on exit 4 it
+    prints nothing on stdout and one error line on stderr."""
+    rows, bound = case
+    bound_sq = data.draw(st.one_of(
+        st.sampled_from([bound - 1, bound, bound + 1]),
+        st.integers(1, 2 * bound)).filter(lambda b: b > 0))
+    basis = LatticeBasis(rows)
+    s = enumerate_up_to(EnumerationRequest(basis, bound_sq))
+    want = EXIT_OK if s.vectors and lattice_equal(s, basis) else EXIT_BOUND
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.lat")
+        with open(path, "w") as fh:
+            fh.write("\n".join(render_lattice(basis.vectors, len(rows))))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["decompose", path, "--bound-sq", str(bound_sq)])
+    assert code == want
+    if code == EXIT_BOUND:
+        assert out.getvalue() == ""
+        assert err.getvalue() == (
+            f"error: insufficient bound: the {len(set(s.vectors))} "
+            f"enumerated vectors do not generate the full rank-{len(rows)} "
+            "lattice\n")
 
 
 class TestBenchCommand:

@@ -10,16 +10,21 @@ from latkit import (
     LatticeBasis,
     canonical_basis,
     determinant,
+    enumerate_up_to,
     gram_matrix,
     hnf,
     inner_product,
     is_member,
     lattice_equal,
     norm_sq,
+    orthogonal_decomposition,
     solve_in_span,
+    successive_minima,
     vec,
     volume_sq,
 )
+from latkit.core import integerize
+from latkit.enumeration import EnumerationRequest
 
 from reference_hnf import reference_canonical_basis, reference_hnf
 
@@ -264,6 +269,42 @@ def test_from_rows_matches_rational_constructor(case, complete):
     got = _outcome(lambda: GeneratingSet.from_rows(
         rows, scale, bound, complete))
     assert got == want
+
+
+@st.composite
+def short_rational_vectors(draw):
+    """The short vectors of a lattice with mixed denominators: a triangular
+    rational basis, scrambled, and every vector up to a small bound."""
+    d = draw(st.integers(1, 3))
+    nonzero = st.sampled_from([F(1), F(-2), F(1, 2), F(-2, 3), F(5, 4)])
+    rows = [[F(0)] * i + [draw(nonzero)]
+            + [draw(st.sampled_from([F(0), F(1), F(-1, 3), F(3, 2)]))
+               for _ in range(d - 1 - i)] for i in range(d)]
+    for _ in range(d):
+        a, b = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        if a != b:
+            rows[a] = [x + y for x, y in zip(rows[a], rows[b])]
+    bound = draw(st.sampled_from([F(1, 4), F(1), F(3, 2), F(4)]))
+    s = enumerate_up_to(EnumerationRequest(LatticeBasis(rows), bound))
+    return s.vectors, bound
+
+
+@settings(max_examples=150, deadline=None)
+@given(short_rational_vectors(), st.sampled_from([1, 2, 3]))
+def test_rows_and_scale_do_not_change_results(case, k):
+    vectors, bound = case
+    a = GeneratingSet(vectors, bound, complete=True)
+    rows, scale = integerize(vectors)
+    b = GeneratingSet.from_rows([[k * c for c in r] for r in rows],
+                                k * scale, bound, complete=True)
+    for s in (a, b):
+        assert [tuple(F(c, s.scale) for c in r) for r in s.rows] == \
+            list(s.vectors)
+    assert a == b
+    assert _outcome(lambda: successive_minima(a)) == \
+        _outcome(lambda: successive_minima(b))
+    assert _outcome(lambda: orthogonal_decomposition(a)) == \
+        _outcome(lambda: orthogonal_decomposition(b))
 
 
 RATIONAL_ENTRIES = st.sampled_from(

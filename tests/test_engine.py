@@ -79,8 +79,6 @@ def test_incremental_basis_equals_reference_loop(family, params):
 @given(generator_families(), st.data())
 def test_membership_equals_is_member(family, data):
     d, gens = family
-    lattice = IncrementalLattice.from_generators(gens)
-    basis = lattice.basis()
     coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(gens),
                                 max_size=len(gens)))
     v = [sum((c * F(g[i]) for c, g in zip(coeffs, gens)), F(0))
@@ -88,8 +86,13 @@ def test_membership_equals_is_member(family, data):
     shift = data.draw(st.sampled_from([0, F(1, 2), F(1, 3), 1]))
     v[data.draw(st.integers(0, d - 1))] += shift
     v = tuple(v)
-    expected = is_member(basis, v)
-    was_update = lattice.insert(v)
+    # The engine's scale is fixed when it is built, so build it over a
+    # denominator that the shifted vector shares.
+    lattice, rows = IncrementalLattice.over(gens + [v])
+    for row in rows[:-1]:
+        lattice.insert(row)
+    expected = is_member(lattice.basis(), v)
+    was_update = lattice.insert(rows[-1])
     assert was_update is not expected
 
 
