@@ -29,7 +29,7 @@ print("number of summands r:", decomp.r)
 print("component start indices:", decomp.indices)
 for j, comp in enumerate(decomp.components, start=1):
     print(f"component {j} (rank {comp.rank}):",
-          [tuple(map(int, v)) for v in comp.basis.vectors])
+          [tuple(map(int, v)) for v in comp.vectors])
 
 oracle = graph_decomposition_oracle(s)
 print("graph oracle agrees:",

@@ -11,20 +11,16 @@ from .core import (
     LatticeBasis,
     Vector,
     canonical_basis,
-    determinant,
     gram_matrix,
-    hnf,
     inner_product,
     is_member,
     lattice_equal,
     norm_sq,
     rank_of,
     solve_in_span,
-    vec,
     volume_sq,
 )
 from .decompose import (
-    Component,
     Decomposition,
     canonical_component_forms,
     graph_decomposition_oracle,
@@ -35,7 +31,6 @@ from .decompose import (
 from .enumeration import (
     EnumerationCapExceeded,
     EnumerationRequest,
-    box_oracle,
     enumerate_up_to,
     first_minimum_sq,
 )
@@ -53,12 +48,11 @@ from .minima import (
     minkowski_check,
     successive_minima,
 )
-from .reduction import ReductionParams, basis_union, gram_schmidt, mlll
+from .reduction import ReductionParams, basis_union, mlll
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Component",
     "Decomposition",
     "EnumerationCapExceeded",
     "EnumerationRequest",
@@ -70,18 +64,14 @@ __all__ = [
     "UpdateTrace",
     "Vector",
     "basis_union",
-    "box_oracle",
     "canonical_basis",
     "canonical_component_forms",
-    "determinant",
     "enumerate_up_to",
     "first_minimum_sq",
     "generating_subset",
     "gram_matrix",
-    "gram_schmidt",
     "graph_decomposition_oracle",
     "greedy_minima_oracle",
-    "hnf",
     "incremental_basis",
     "inner_product",
     "is_length_decomposable",
@@ -97,6 +87,5 @@ __all__ = [
     "successive_minima",
     "update_step_bound_holds",
     "update_step_bound_value",
-    "vec",
     "volume_sq",
 ]

@@ -89,6 +89,7 @@ def format_vector(v: Vector) -> str:
 def parse_lattice_file(text: str) -> tuple[int, int, list[Vector]]:
     """Parse header 'd m' plus m rows of d rational literals."""
     header: Optional[tuple[int, int]] = None
+    header_line = 1
     rows: list[Vector] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -106,7 +107,7 @@ def parse_lattice_file(text: str) -> tuple[int, int, list[Vector]]:
                     line_no, "header must be two integers 'd m'")
             if d < 1 or m < 1:
                 raise LatticeFileError(line_no, "header requires d>=1, m>=1")
-            header = (d, m)
+            header, header_line = (d, m), line_no
             continue
         d, m = header
         if len(tokens) != d:
@@ -122,7 +123,8 @@ def parse_lattice_file(text: str) -> tuple[int, int, list[Vector]]:
         raise LatticeFileError(1, "missing header line 'd m'")
     if len(rows) != header[1]:
         raise LatticeFileError(
-            1, f"header promises {header[1]} rows, file has {len(rows)}")
+            header_line,
+            f"header promises {header[1]} rows, file has {len(rows)}")
     return header[0], header[1], rows
 
 
@@ -274,7 +276,7 @@ def cmd_decompose(args) -> int:
     # iff their ranks sum to L's and their squared volumes multiply to L's.
     comps = decomp.components if decomp else ()
     if not comps or sum(c.rank for c in comps) != basis.rank or \
-            math.prod(c.basis.volume_sq for c in comps) != basis.volume_sq:
+            math.prod(c.volume_sq for c in comps) != basis.volume_sq:
         got = len({v for v in s.vectors})
         print(
             f"error: insufficient bound: the {got} enumerated vectors do "
@@ -290,10 +292,10 @@ def cmd_decompose(args) -> int:
     lines.append(f"{d} {len(decomp.grouped_basis)}")
     for j, comp in enumerate(decomp.components, start=1):
         lines.append(f"# component {j} rank {comp.rank}")
-        lines.extend(format_vector(v) for v in comp.basis.vectors)
+        lines.extend(format_vector(v) for v in comp.vectors)
     print("\n".join(lines))
     if args.verify:
-        oracle = graph_decomposition_oracle(s, params)
+        oracle = graph_decomposition_oracle(s)
         if canonical_component_forms(decomp) != \
                 canonical_component_forms(oracle):
             print("verification failed: graph oracle disagrees",

@@ -20,11 +20,6 @@ Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-def vec(*coords) -> Vector:
-    """Build a vector from ints, strings ("p/q") or Fractions."""
-    return as_vector(coords)
-
-
 def as_vector(coords: Iterable) -> Vector:
     """Coordinates as a tuple of Fractions; entries that already are
     Fractions (immutable) are kept as they are, not copied."""
@@ -77,23 +72,6 @@ def _det_bareiss_int(m: list[list[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def determinant(matrix: Sequence[Sequence]) -> Fraction:
-    """Exact determinant of a square rational matrix.
-
-    Entries are rescaled to integers and eliminated fraction-free (Bareiss)
-    to avoid intermediate coefficient blowup.
-    """
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix is not square")
-    scale = math.lcm(*(x.denominator for row in rows for x in row))
-    im = [[int(x * scale) for x in row] for row in rows]
-    return Fraction(_det_bareiss_int(im), scale**n)
 
 
 def rank_of(vectors: Sequence[Vector]) -> int:
@@ -184,7 +162,8 @@ class LatticeBasis:
 class GeneratingSet:
     """Multiset of nonzero lattice vectors with a squared norm bound, kept
     in nondecreasing squared norm with lexicographic ties, whatever the
-    input order; zero vectors are dropped.
+    input order; zero vectors are dropped, and vectors of different lengths
+    are rejected.
 
     ``complete`` means the producer asserts the set contains every nonzero
     lattice vector of squared norm at most ``bound_sq``.
@@ -224,9 +203,11 @@ class GeneratingSet:
         bound_sq = Fraction(bound_sq)
         # n <= bound_sq * scale^2 iff n <= its floor, n being an integer.
         limit = bound_sq.numerator * scale * scale // bound_sq.denominator
+        rows = [tuple(r) for r in rows]
+        if len({len(r) for r in rows}) > 1:
+            raise ValueError("vectors have mixed dimensions")
         keyed = []
         for r in rows:
-            r = tuple(r)
             n = _idot(r, r)
             if not n:
                 continue
@@ -296,20 +277,6 @@ def _column_hnf(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     """Column-style HNF of a nonempty list of integer rows of one length."""
     red = _row_hnf([r[::-1] for r in rows], len(rows[0]))
     return tuple(tuple(reversed(r)) for r in reversed(red))
-
-
-def hnf(vectors: Sequence) -> tuple[tuple[int, ...], ...]:
-    """Column-style Hermite normal form of the lattice generated by integer
-    vectors; equal lattices yield identical output."""
-    vs = [as_vector(v) for v in vectors]
-    vs = [v for v in vs if not is_zero_vector(v)]
-    if not vs:
-        return ()
-    for v in vs:
-        for c in v:
-            if c.denominator != 1:
-                raise ValueError(f"hnf requires integer coordinates, got {c}")
-    return _column_hnf([[int(c) for c in v] for v in vs])
 
 
 def canonical_basis(vectors: Sequence) -> tuple[Vector, ...]:

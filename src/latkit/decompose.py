@@ -4,7 +4,9 @@ Two routes to the same (Eichler-unique) answer: an incremental merge scan
 over a complete generating set, and a graph oracle that takes connected
 components of the non-orthogonality graph on length-indecomposable vectors.
 The scan tests each vector for membership in the running sum with the
-integral MLLL engine of ``latkit.reduction``; the oracle never uses it.
+integral MLLL engine of ``latkit.reduction`` and reduces each merged
+component with it; the oracle never uses it: it takes each component's
+basis from the Hermite normal form of its vertices (``canonical_basis``).
 """
 
 from __future__ import annotations
@@ -30,34 +32,17 @@ from .reduction import (
 
 
 @dataclass(frozen=True)
-class Component:
-    """One pairwise-orthogonal summand; the basis vectors double as the
-    witnesses for projection tests."""
-
-    basis: LatticeBasis
-
-    @property
-    def rank(self) -> int:
-        return self.basis.rank
-
-
-@dataclass(frozen=True)
 class Decomposition:
-    components: tuple[Component, ...]
+    components: tuple[LatticeBasis, ...]   # pairwise-orthogonal summands
     grouped_basis: tuple[Vector, ...]
     indices: tuple[int, ...]   # 1-based component start offsets, length r
     r: int
 
-    @property
-    def index_bounds(self) -> tuple[int, ...]:
-        """Start offsets plus the sentinel n + 1."""
-        return self.indices + (len(self.grouped_basis) + 1,)
 
-
-def projection_nonzero(component: Component, v) -> bool:
+def projection_nonzero(component: LatticeBasis, v) -> bool:
     """Whether v has a nonzero orthogonal projection onto the component's
     span; equivalent to a nonzero inner product with some basis vector."""
-    return any(inner_product(v, b) != 0 for b in component.basis.vectors)
+    return any(inner_product(v, b) != 0 for b in component.vectors)
 
 
 def is_length_decomposable(v: Vector, s: GeneratingSet) -> bool:
@@ -80,21 +65,21 @@ def is_length_decomposable(v: Vector, s: GeneratingSet) -> bool:
     return False
 
 
-def _assert_pairwise_orthogonal(components: Sequence[Component]) -> None:
+def _assert_pairwise_orthogonal(components: Sequence[LatticeBasis]) -> None:
     for i in range(len(components)):
         for j in range(i + 1, len(components)):
-            for u in components[i].basis.vectors:
-                for w in components[j].basis.vectors:
+            for u in components[i].vectors:
+                for w in components[j].vectors:
                     if inner_product(u, w) != 0:
                         raise AssertionError(
                             "components lost pairwise orthogonality")
 
 
-def _canonicalize(components: Sequence[Component]) -> Decomposition:
+def _canonicalize(components: Sequence[LatticeBasis]) -> Decomposition:
     """Sort components into the canonical order and assemble the output."""
     keyed = []
     for c in components:
-        canon = canonical_basis(c.basis.vectors)
+        canon = canonical_basis(c.vectors)
         keyed.append(((min(norm_sq(v) for v in canon), canon), c))
     keyed.sort(key=lambda kv: kv[0])
     comps = tuple(c for _, c in keyed)
@@ -103,7 +88,7 @@ def _canonicalize(components: Sequence[Component]) -> Decomposition:
     pos = 1
     for c in comps:
         indices.append(pos)
-        grouped.extend(c.basis.vectors)
+        grouped.extend(c.vectors)
         pos += c.rank
     return Decomposition(comps, tuple(grouped), tuple(indices), len(comps))
 
@@ -123,7 +108,7 @@ def orthogonal_decomposition(s: GeneratingSet,
         raise ValueError("generating set is empty")
     if not s.complete:
         raise ValueError("orthogonal decomposition requires a complete set")
-    components: list[Component] = []
+    components: list[LatticeBasis] = []
     total = IncrementalLattice(len(s.rows[0]), params, s.scale)
     for v, row in zip(s.vectors, s.rows):
         if not total.insert(row):
@@ -132,8 +117,8 @@ def orthogonal_decomposition(s: GeneratingSet,
                   if projection_nonzero(c, v)]
         merged_gens = [v]
         for i in joined:
-            merged_gens.extend(components[i].basis.vectors)
-        merged = Component(mlll(merged_gens, params))
+            merged_gens.extend(components[i].vectors)
+        merged = mlll(merged_gens, params)
         components = [c for i, c in enumerate(components)
                       if i not in joined] + [merged]
         if check_invariants:
@@ -141,19 +126,18 @@ def orthogonal_decomposition(s: GeneratingSet,
     return _canonicalize(components)
 
 
-def graph_decomposition_oracle(s: GeneratingSet,
-                               params: ReductionParams = DEFAULT_PARAMS
-                               ) -> Decomposition:
+def graph_decomposition_oracle(s: GeneratingSet) -> Decomposition:
     """Independent route: connected components of the graph whose vertices
     are the length-indecomposable vectors of S and whose edges join
-    non-orthogonal pairs; each vertex class generates one summand."""
+    non-orthogonal pairs; each vertex class generates one summand, whose
+    basis is the Hermite normal form of the class."""
     if not s.vectors:
         raise ValueError("generating set is empty")
     if not s.complete:
         raise ValueError("orthogonal decomposition requires a complete set")
     vertices = [v for v in s.vectors if not is_length_decomposable(v, s)]
     unvisited = set(range(len(vertices)))
-    components: list[Component] = []
+    components: list[LatticeBasis] = []
     while unvisited:
         start = min(unvisited)
         stack = [start]
@@ -167,12 +151,12 @@ def graph_decomposition_oracle(s: GeneratingSet,
                 unvisited.discard(j)
                 stack.append(j)
             comp.extend(adjacent)
-        basis = mlll([vertices[i] for i in comp], params)
-        components.append(Component(basis))
+        components.append(
+            LatticeBasis(canonical_basis([vertices[i] for i in comp])))
     return _canonicalize(components)
 
 
 def canonical_component_forms(decomp: Decomposition
                               ) -> tuple[tuple[Vector, ...], ...]:
     """Canonical per-component bases, for equality tests between runs."""
-    return tuple(canonical_basis(c.basis.vectors) for c in decomp.components)
+    return tuple(canonical_basis(c.vectors) for c in decomp.components)

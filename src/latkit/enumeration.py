@@ -1,24 +1,24 @@
 """Complete short-vector enumeration: all nonzero lattice vectors with
 squared norm up to a bound.
 
-The main enumerator is Fincke-Pohst recursive coordinate bounding on the
+The enumerator is Fincke-Pohst recursive coordinate bounding on the
 LLL-reduced basis built by the integral MLLL engine of ``latkit.reduction``
 (reduce first, then enumerate, as Fincke and Pohst do).  The engine holds
 that basis's Gram-Schmidt form as integers (the Gram determinants ``d_i`` and
 ``lambda_ij``), so every coordinate range is one integer square root and no
-boundary vector can be lost to rounding.  A naive coefficient-box scan over
-the given basis serves as an independent oracle in low dimensions.
+boundary vector can be lost to rounding.  Its independent check, a naive
+coefficient-box scan over the given basis, is test code
+(``tests/reference_enumeration.py``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .core import GeneratingSet, LatticeBasis, Vector, gram_matrix, norm_sq
+from .core import GeneratingSet, LatticeBasis, norm_sq
 from .reduction import (
     DEFAULT_PARAMS,
     IncrementalLattice,
@@ -97,52 +97,6 @@ def enumerate_up_to(req: EnumerationRequest) -> GeneratingSet:
 
     recurse(n - 1, top.numerator // top.denominator)
     return GeneratingSet.from_rows(out, scale, req.bound_sq, complete=True)
-
-
-def box_oracle(req: EnumerationRequest) -> GeneratingSet:
-    """Exhaustive coefficient-box scan; independent check of the enumerator.
-
-    Coefficient bounds come from the inverse Gram diagonal:
-    x_i^2 <= bound_sq * (G^-1)_ii by Cauchy-Schwarz.
-    """
-    basis = req.basis
-    n = basis.rank
-    if n > 5:
-        raise ValueError("dimension too large for the box oracle")
-    inv_diag = _gram_inverse_diagonal(gram_matrix(basis.vectors))
-    limits = [math.isqrt(math.floor(req.bound_sq * inv_diag[i]))
-              for i in range(n)]
-    out: list[Vector] = []
-    for coeffs in itertools.product(*(range(-l, l + 1) for l in limits)):
-        if not any(coeffs):
-            continue
-        v = tuple(
-            sum((coeffs[k] * basis.vectors[k][j] for k in range(n)),
-                Fraction(0))
-            for j in range(basis.dim)
-        )
-        if norm_sq(v) <= req.bound_sq:
-            if len(out) >= req.cap:
-                raise EnumerationCapExceeded(req.cap)
-            out.append(v)
-    return GeneratingSet(tuple(out), req.bound_sq, complete=True)
-
-
-def _gram_inverse_diagonal(gram) -> list[Fraction]:
-    n = len(gram)
-    aug = [list(map(Fraction, gram[i])) +
-           [Fraction(1 if j == i else 0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [aug[i][n + i] for i in range(n)]
 
 
 def first_minimum_sq(basis: LatticeBasis,

@@ -21,10 +21,8 @@ from typing import Optional, Sequence
 
 from .core import (
     LatticeBasis,
-    Vector,
     _idot,
     as_vector,
-    inner_product,
     integerize,
 )
 
@@ -298,25 +296,3 @@ def basis_union(basis: LatticeBasis, v, params: ReductionParams =
                 DEFAULT_PARAMS) -> LatticeBasis:
     """Basis of L + Zv: the update step of the incremental construction."""
     return mlll(list(basis.vectors) + [as_vector(v)], params)
-
-
-def gram_schmidt(vectors: Sequence[Vector]
-                 ) -> tuple[list[tuple], list[list[Fraction]]]:
-    """Exact Gram-Schmidt orthogonalization (b*, mu) of independent input.
-
-    Used by tests to check size reduction and the Lovász condition on
-    reduction output.
-    """
-    vs = [as_vector(v) for v in vectors]
-    bstar: list[tuple] = []
-    mu: list[list[Fraction]] = []
-    for v in vs:
-        row = []
-        w = list(v)
-        for j, bs in enumerate(bstar):
-            m_ = inner_product(v, bs) / inner_product(bs, bs)
-            row.append(m_)
-            w = [a - m_ * c for a, c in zip(w, bs)]
-        bstar.append(tuple(w))
-        mu.append(row)
-    return bstar, mu

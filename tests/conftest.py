@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from latkit import LatticeBasis, mlll, rank_of
 
@@ -43,3 +44,18 @@ def embed_block(vectors, offset: int, total: int):
         out.append(tuple([Fraction(0)] * offset) + tuple(v)
                    + tuple([Fraction(0)] * (total - offset - k)))
     return out
+
+
+@st.composite
+def scrambled(draw, basis):
+    """The same lattice under a random unimodular change of basis."""
+    rows = [list(v) for v in basis.vectors]
+    n = len(rows)
+    for _ in range(draw(st.integers(0, 2 * n)) if n > 1 else 0):
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        s = draw(st.sampled_from([-2, -1, 1, 2]))
+        rows[a] = [x + s * y for x, y in zip(rows[a], rows[b])]
+    rows = draw(st.permutations(rows))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    return LatticeBasis([[s * x for x in r] for s, r in zip(signs, rows)])

@@ -5,16 +5,21 @@ its integral engine, kept verbatim as test code only.
 ``reference_basis_union`` and ``reference_incremental_basis`` wrap them the
 way ``mlll``, ``basis_union`` and ``incremental_basis`` did, so the
 differential tests can require byte-identical results from the engine.
+``gram_schmidt``, which checks the LLL conditions on reduction output, is
+the function ``latkit.reduction`` held before it moved here, unchanged.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
 from latkit.core import (
     LatticeBasis,
+    Vector,
     as_vector,
+    inner_product,
     integerize,
     is_member,
     is_zero_vector,
@@ -154,3 +159,25 @@ def reference_incremental_basis(generators, params=DEFAULT_PARAMS):
             records.append(InsertionRecord(i, True, basis.rank,
                                            volume_sq(basis)))
     return basis, tuple(records)
+
+
+def gram_schmidt(vectors: Sequence[Vector]
+                 ) -> tuple[list[tuple], list[list[Fraction]]]:
+    """Exact Gram-Schmidt orthogonalization (b*, mu) of independent input.
+
+    Used by tests to check size reduction and the Lovász condition on
+    reduction output.
+    """
+    vs = [as_vector(v) for v in vectors]
+    bstar: list[tuple] = []
+    mu: list[list[Fraction]] = []
+    for v in vs:
+        row = []
+        w = list(v)
+        for j, bs in enumerate(bstar):
+            m_ = inner_product(v, bs) / inner_product(bs, bs)
+            row.append(m_)
+            w = [a - m_ * c for a, c in zip(w, bs)]
+        bstar.append(tuple(w))
+        mu.append(row)
+    return bstar, mu

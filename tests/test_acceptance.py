@@ -13,7 +13,6 @@ import pytest
 from latkit import (
     GeneratingSet,
     LatticeBasis,
-    box_oracle,
     canonical_component_forms,
     enumerate_up_to,
     first_minimum_sq,
@@ -34,6 +33,7 @@ from latkit.enumeration import EnumerationRequest
 from latkit.reduction import DEFAULT_PARAMS
 
 from conftest import d4_basis, embed_block, random_reduced_basis
+from reference_enumeration import box_oracle
 
 
 def _ok(criterion, detail):
@@ -153,8 +153,8 @@ def test_criterion_5_minkowski(minima_corpus):
 def _component_cross_products_zero(decomp):
     for i in range(decomp.r):
         for j in range(i + 1, decomp.r):
-            for u in decomp.components[i].basis.vectors:
-                for w in decomp.components[j].basis.vectors:
+            for u in decomp.components[i].vectors:
+                for w in decomp.components[j].vectors:
                     if sum(a * b for a, b in zip(u, w)) != 0:
                         return False
     return True
@@ -162,8 +162,8 @@ def _component_cross_products_zero(decomp):
 
 def _components_indecomposable(decomp):
     for c in decomp.components:
-        bsq = max(norm_sq(v) for v in c.basis.vectors)
-        s = enumerate_up_to(EnumerationRequest(c.basis, bsq))
+        bsq = max(norm_sq(v) for v in c.vectors)
+        s = enumerate_up_to(EnumerationRequest(c, bsq))
         if graph_decomposition_oracle(s).r != 1:
             return False
     return True

@@ -1,12 +1,15 @@
 import contextlib
 import hashlib
 import io
+import json
 import math
 import os
 import subprocess
 import sys
+import sysconfig
 import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -192,6 +195,13 @@ class TestExitCodes:
         code = main(["bench", *args])
         self._check(code, EXIT_PARSE, capsys)
 
+    def test_row_count_error_names_the_header_line(self, tmp_path, capsys):
+        code = run_cli(["basis", "FILE"], tmp_path,
+                       "# two rows\n\n2 3\n1 0\n0 1\n")
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == \
+            "parse error: line 3: header promises 3 rows, file has 2\n"
+
     def test_minima_has_no_delta(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["minima", "FILE", "--bound-sq", "4", "--delta", "1/2"],
@@ -357,6 +367,21 @@ class TestBenchCommand:
         assert len(lines) == 1 + 2 * 3
 
 
+# Run in a fresh interpreter: the modules that importing latkit.cli and one
+# verified decompose call load, by file origin, as the last line of stdout.
+STDLIB_PROBE = """
+import io, json, sys
+before = set(sys.modules)
+from latkit import cli
+sys.stdin = io.StringIO("2 2\\n1 0\\n0 2\\n")
+code = cli.main(["decompose", "-", "--bound-sq", "4", "--verify"])
+new = [m for name, m in list(sys.modules.items()) if name not in before]
+print(json.dumps([code, [m.__spec__.origin for m in new
+                         if getattr(m, "__spec__", None)
+                         and m.__spec__.has_location]]))
+"""
+
+
 class TestEntryPoint:
     def test_cli_does_not_load_hashlib(self):
         """The digest uses the builtin SHA-256 module where the interpreter
@@ -371,6 +396,32 @@ class TestEntryPoint:
         if builtin == "False":
             pytest.skip("this interpreter has no builtin SHA-256 module")
         assert loaded == "False"
+
+    def test_loads_only_the_standard_library(self):
+        """Importing ``latkit.cli`` and running a verified ``decompose``
+        loads no module from outside the standard library and ``latkit``
+        (the package has no dependencies).  Modules the interpreter loaded
+        before the import, such as ``.pth`` hooks of ``site``, are not
+        latkit's and are left out."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", STDLIB_PROBE], capture_output=True,
+            text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+        code, origins = json.loads(proc.stdout.splitlines()[-1])
+        assert code == EXIT_OK
+        stdlib = [Path(sysconfig.get_paths()[k]).resolve()
+                  for k in ("stdlib", "platstdlib")]
+
+        def allowed(origin):
+            # Third-party packages install under the stdlib directory too.
+            p = Path(origin).resolve()
+            return p.is_relative_to(src / "latkit") or (
+                any(map(p.is_relative_to, stdlib))
+                and not {"site-packages", "dist-packages"} & set(p.parts))
+
+        assert any(Path(o).resolve().is_relative_to(src / "latkit")
+                   for o in origins)
+        assert [o for o in origins if not allowed(o)] == []
 
     def test_console_script_installed(self, tmp_path):
         path = tmp_path / "z2.lat"

@@ -9,10 +9,8 @@ from latkit import (
     GeneratingSet,
     LatticeBasis,
     canonical_basis,
-    determinant,
     enumerate_up_to,
     gram_matrix,
-    hnf,
     inner_product,
     is_member,
     lattice_equal,
@@ -20,68 +18,80 @@ from latkit import (
     orthogonal_decomposition,
     solve_in_span,
     successive_minima,
-    vec,
     volume_sq,
 )
-from latkit.core import integerize
+from latkit.core import as_vector, integerize
 from latkit.enumeration import EnumerationRequest
 
 from reference_hnf import reference_canonical_basis, reference_hnf
 
 
+def laplace_det(m) -> F:
+    """Determinant by cofactor expansion along the first row, over Fraction:
+    a reference that shares no code with the library's Bareiss elimination."""
+    if not m:
+        return F(1)
+    return sum(((-1) ** j * F(x) * laplace_det([r[:j] + r[j + 1:]
+                                                for r in m[1:]])
+                for j, x in enumerate(m[0])), F(0))
+
+
 class TestInnerProduct:
     def test_orthogonal_units(self):
-        assert inner_product(vec(1, 0), vec(0, 1)) == 0
+        assert inner_product(as_vector((1, 0)), as_vector((0, 1))) == 0
 
     def test_symmetry_case(self):
-        assert inner_product(vec(1, 1), vec(1, -1)) == 0
+        assert inner_product(as_vector((1, 1)), as_vector((1, -1))) == 0
 
     def test_rational(self):
-        assert inner_product(vec(F(1, 2), 3), vec(2, F(1, 3))) == 2
+        u, v = as_vector((F(1, 2), 3)), as_vector((2, F(1, 3)))
+        assert inner_product(u, v) == 2
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            inner_product(vec(1, 0), vec(1, 0, 0))
+            inner_product(as_vector((1, 0)), as_vector((1, 0, 0)))
 
     def test_symmetry_random(self):
         rng = random.Random(0)
         for _ in range(50):
             d = rng.randint(1, 5)
-            u = vec(*(rng.randint(-9, 9) for _ in range(d)))
-            v = vec(*(rng.randint(-9, 9) for _ in range(d)))
+            u = as_vector(rng.randint(-9, 9) for _ in range(d))
+            v = as_vector(rng.randint(-9, 9) for _ in range(d))
             assert inner_product(u, v) == inner_product(v, u)
 
 
 class TestNormSq:
     def test_zero(self):
-        assert norm_sq(vec(0, 0)) == 0
+        assert norm_sq(as_vector((0, 0))) == 0
 
     def test_ones(self):
-        assert norm_sq(vec(1, 1)) == 2
+        assert norm_sq(as_vector((1, 1))) == 2
 
     def test_rational(self):
-        assert norm_sq(vec(F(3, 2), 2)) == F(25, 4)
+        assert norm_sq(as_vector((F(3, 2), 2))) == F(25, 4)
 
     def test_positive_iff_nonzero(self):
         rng = random.Random(1)
         for _ in range(50):
-            v = vec(*(rng.randint(-5, 5) for _ in range(4)))
+            v = as_vector(rng.randint(-5, 5) for _ in range(4))
             assert (norm_sq(v) == 0) == all(c == 0 for c in v)
 
 
 class TestHnf:
+    """``canonical_basis`` is the column-style Hermite normal form."""
+
     def test_spans_z2(self):
-        assert hnf([(1, 0), (0, 1), (1, 1)]) == ((1, 0), (0, 1))
+        assert canonical_basis([(1, 0), (0, 1), (1, 1)]) == ((1, 0), (0, 1))
 
     def test_gcd(self):
-        assert hnf([(4,), (6,)]) == ((2,),)
+        assert canonical_basis([(4,), (6,)]) == ((2,),)
 
     def test_convention(self):
-        assert hnf([(2, 0), (1, 1)]) == ((2, 0), (1, 1))
+        assert canonical_basis([(2, 0), (1, 1)]) == ((2, 0), (1, 1))
 
     def test_empty(self):
-        assert hnf([]) == ()
-        assert hnf([(0, 0)]) == ()
+        assert canonical_basis([]) == ()
+        assert canonical_basis([(0, 0)]) == ()
 
     def test_idempotent_and_order_invariant(self):
         rng = random.Random(2)
@@ -90,48 +100,44 @@ class TestHnf:
             m = rng.randint(1, 6)
             vs = [tuple(rng.randint(-9, 9) for _ in range(d))
                   for _ in range(m)]
-            h = hnf(vs)
-            assert hnf(h) == h
+            h = canonical_basis(vs)
+            assert canonical_basis(h) == h
             perm = vs[:]
             rng.shuffle(perm)
-            assert hnf(perm) == h
-
-    def test_rejects_rationals(self):
-        with pytest.raises(ValueError):
-            hnf([(F(1, 2), 1)])
+            assert canonical_basis(perm) == h
 
 
 class TestSolveInSpan:
     def test_standard_basis(self):
         b = LatticeBasis([(1, 0), (0, 1)])
-        assert solve_in_span(b, vec(3, -5)) == (3, -5)
+        assert solve_in_span(b, (3, -5)) == (3, -5)
 
     def test_scalar_multiple(self):
         b = LatticeBasis([(1, 1)])
-        assert solve_in_span(b, vec(2, 2)) == (2,)
+        assert solve_in_span(b, (2, 2)) == (2,)
 
     def test_outside_span(self):
         b = LatticeBasis([(1, 1)])
-        assert solve_in_span(b, vec(1, 0)) is None
+        assert solve_in_span(b, (1, 0)) is None
 
     def test_empty_basis(self):
         b = LatticeBasis((), dim=2)
-        assert solve_in_span(b, vec(0, 0)) == ()
-        assert solve_in_span(b, vec(1, 0)) is None
+        assert solve_in_span(b, (0, 0)) == ()
+        assert solve_in_span(b, (1, 0)) is None
 
 
 class TestIsMember:
     def test_z2(self):
         b = LatticeBasis([(1, 0), (0, 1)])
-        assert is_member(b, vec(3, -5))
+        assert is_member(b, (3, -5))
 
     def test_checkerboard_member(self):
         b = LatticeBasis([(1, 1), (1, -1)])
-        assert is_member(b, vec(2, 0))
+        assert is_member(b, (2, 0))
 
     def test_checkerboard_nonmember(self):
         b = LatticeBasis([(1, 1), (1, -1)])
-        assert not is_member(b, vec(1, 0))
+        assert not is_member(b, (1, 0))
 
     def test_subgroup_closure(self):
         rng = random.Random(3)
@@ -139,8 +145,8 @@ class TestIsMember:
         members = []
         while len(members) < 10:
             c = [rng.randint(-3, 3) for _ in range(3)]
-            v = vec(*(sum(ci * bi[j] for ci, bi in zip(c, b.vectors))
-                      for j in range(3)))
+            v = as_vector(sum(ci * bi[j] for ci, bi in zip(c, b.vectors))
+                          for j in range(3))
             members.append(v)
         for u in members:
             assert is_member(b, tuple(-x for x in u))
@@ -164,7 +170,7 @@ class TestVolumeSq:
             d = rng.randint(1, 4)
             rows = [tuple(rng.randint(-5, 5) for _ in range(d))
                     for _ in range(d)]
-            det = determinant(rows)
+            det = laplace_det(rows)
             if det == 0:
                 continue
             assert volume_sq(LatticeBasis(rows)) == det * det
@@ -197,6 +203,10 @@ class TestGeneratingSet:
     def test_error_names_first_violation_in_input_order(self):
         with pytest.raises(ValueError, match=r"Fraction\(3, 1\)"):
             GeneratingSet([(1, 0), (3, 0), (2, 0)], bound_sq=1)
+
+    def test_rejects_mixed_dimensions(self):
+        with pytest.raises(ValueError, match="mixed dimensions"):
+            GeneratingSet([(1, 0, 0), (2,)], 10, complete=True)
 
 
 @st.composite
@@ -238,6 +248,10 @@ class TestFromRows:
     def test_error_names_first_violation_in_input_order(self):
         with pytest.raises(ValueError, match=r"\(Fraction\(3, 2\), "):
             GeneratingSet.from_rows([(1, 0), (3, 0), (4, 0)], 2, 1)
+
+    def test_rejects_mixed_dimensions(self):
+        with pytest.raises(ValueError, match="mixed dimensions"):
+            GeneratingSet.from_rows([(1, 0, 0), (0, 0), (2,)], 1, 10)
 
     def test_rejects_non_positive_scale(self):
         with pytest.raises(ValueError):
@@ -322,7 +336,7 @@ def rational_rows(draw, max_rows):
 @settings(max_examples=300, deadline=None)
 @given(rational_rows(lambda d: d))
 def test_basis_volume_is_the_gram_determinant(rows):
-    det = determinant(gram_matrix(rows))
+    det = laplace_det(gram_matrix(rows))
     if det == 0:
         with pytest.raises(ValueError, match="linearly dependent"):
             LatticeBasis(rows)
@@ -340,4 +354,4 @@ def test_dependent_rational_basis_raises():
 def test_canonical_basis_matches_frozen_reference(rows):
     assert canonical_basis(rows) == reference_canonical_basis(rows)
     ints = [tuple(c * 12 for c in r) for r in rows]     # clears denominators
-    assert hnf(ints) == reference_hnf(ints)
+    assert canonical_basis(ints) == reference_hnf(ints)

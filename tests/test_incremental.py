@@ -6,7 +6,6 @@ import pytest
 from latkit import (
     first_minimum_sq,
     generating_subset,
-    hnf,
     incremental_basis,
     lattice_equal,
     norm_sq,

@@ -18,7 +18,6 @@ from latkit import (
     EnumerationCapExceeded,
     EnumerationRequest,
     LatticeBasis,
-    box_oracle,
     enumerate_up_to,
     gram_matrix,
     greedy_minima_oracle,
@@ -26,7 +25,9 @@ from latkit import (
     rank_of,
     successive_minima,
 )
-from latkit.enumeration import _gram_inverse_diagonal
+
+from conftest import scrambled
+from reference_enumeration import _gram_inverse_diagonal, box_oracle
 
 
 @st.composite
@@ -46,21 +47,6 @@ def lattices(draw):
     norms = sorted(norm_sq(v) for v in vs)
     bound = draw(st.sampled_from([norms[0], norms[-1], 2 * norms[-1]]))
     return LatticeBasis(vs), bound
-
-
-@st.composite
-def scrambled(draw, basis):
-    """The same lattice under a random unimodular change of basis."""
-    rows = [list(v) for v in basis.vectors]
-    n = len(rows)
-    for _ in range(draw(st.integers(0, 2 * n)) if n > 1 else 0):
-        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
-                             unique=True))
-        s = draw(st.sampled_from([-2, -1, 1, 2]))
-        rows[a] = [x + s * y for x, y in zip(rows[a], rows[b])]
-    rows = draw(st.permutations(rows))
-    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
-    return LatticeBasis([[s * x for x in r] for s, r in zip(signs, rows)])
 
 
 def _enumerate(basis, bound, cap=1000):
