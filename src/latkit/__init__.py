@@ -11,20 +11,16 @@ from .core import (
     LatticeBasis,
     Vector,
     canonical_basis,
-    gram_matrix,
     inner_product,
     is_member,
     lattice_equal,
     norm_sq,
-    rank_of,
-    solve_in_span,
     volume_sq,
 )
 from .decompose import (
     Decomposition,
     canonical_component_forms,
     graph_decomposition_oracle,
-    is_length_decomposable,
     orthogonal_decomposition,
     projection_nonzero,
 )
@@ -69,12 +65,10 @@ __all__ = [
     "enumerate_up_to",
     "first_minimum_sq",
     "generating_subset",
-    "gram_matrix",
     "graph_decomposition_oracle",
     "greedy_minima_oracle",
     "incremental_basis",
     "inner_product",
-    "is_length_decomposable",
     "is_member",
     "lattice_equal",
     "minkowski_check",
@@ -82,8 +76,6 @@ __all__ = [
     "norm_sq",
     "orthogonal_decomposition",
     "projection_nonzero",
-    "rank_of",
-    "solve_in_span",
     "successive_minima",
     "update_step_bound_holds",
     "update_step_bound_value",

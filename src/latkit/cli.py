@@ -135,13 +135,15 @@ def render_lattice(vectors: Sequence[Vector], dim: int) -> list[str]:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path) as fh:
             return fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: {exc}")
 
 
 def _digest(text: str) -> str:
@@ -171,6 +173,8 @@ def _params(args) -> ReductionParams:
 
 
 def _bound_sq(args) -> Fraction:
+    if args.bound_sq is not None and args.bound is not None:
+        raise UsageError("give one of --bound-sq / --bound, not both")
     if args.bound_sq is not None:
         b = _rational_option("--bound-sq", args.bound_sq)
         if b <= 0:

@@ -4,8 +4,9 @@ Vectors are tuples of ``fractions.Fraction``; every operation here is exact.
 Norms and volumes are carried as squared quantities so all comparisons stay
 rational.  Where a whole family of vectors is processed at once (the
 independence check of ``LatticeBasis``, the norm order of ``GeneratingSet``,
-the Hermite normal form) it is first rescaled to integer rows over one common
-denominator, and the arithmetic runs on those integers.
+the Hermite normal form behind lattice equality and membership) it is first
+rescaled to integer rows over one common denominator, and the arithmetic
+runs on those integers.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
-Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 def as_vector(coords: Iterable) -> Vector:
@@ -44,12 +44,6 @@ def _idot(u, v) -> int:
     return sum(map(mul, u, v))
 
 
-def gram_matrix(vectors: Sequence[Vector]) -> Matrix:
-    return tuple(
-        tuple(inner_product(u, v) for v in vectors) for u in vectors
-    )
-
-
 def _det_bareiss_int(m: list[list[int]]) -> int:
     """Determinant of an integer matrix by fraction-free elimination."""
     n = len(m)
@@ -72,33 +66,6 @@ def _det_bareiss_int(m: list[list[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def rank_of(vectors: Sequence[Vector]) -> int:
-    """Rank of the coordinate matrix, by exact Gaussian elimination."""
-    rows = [list(v) for v in vectors if not is_zero_vector(v)]
-    if not rows:
-        return 0
-    d = len(rows[0])
-    rank = 0
-    for col in range(d):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col] != 0:
-                f = rows[i][col] / pr[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
 
 
 class LatticeBasis:
@@ -307,45 +274,14 @@ def lattice_equal(a, b) -> bool:
     return canonical_basis(va) == canonical_basis(vb)
 
 
-def solve_in_span(basis: LatticeBasis, v) -> Optional[tuple[Fraction, ...]]:
-    """Exact coordinates of ``v`` in the real span of ``basis``, or None.
-
-    Solves Gram * c = B^T v, then verifies the reconstruction; the solve
-    alone cannot distinguish v from its projection onto the span.
-    """
-    v = as_vector(v)
-    n = basis.rank
-    if n == 0:
-        return () if is_zero_vector(v) else None
-    if len(v) != basis.dim:
-        raise ValueError("dimension mismatch")
-    # Gaussian elimination on the (invertible) Gram matrix.
-    gram = gram_matrix(basis.vectors)
-    aug = [list(gram[i]) + [inner_product(basis.vectors[i], v)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pr = aug[col]
-        inv = 1 / pr[col]
-        aug[col] = [a * inv for a in pr]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    coeffs = tuple(aug[i][n] for i in range(n))
-    recon = tuple(
-        sum((c * basis.vectors[i][j] for i, c in enumerate(coeffs)),
-            Fraction(0))
-        for j in range(basis.dim)
-    )
-    return coeffs if recon == v else None
-
-
 def is_member(basis: LatticeBasis, v) -> bool:
-    """Lattice membership: the paper-style localization test."""
-    coeffs = solve_in_span(basis, v)
-    return coeffs is not None and all(c.denominator == 1 for c in coeffs)
+    """Lattice membership: v lies in the lattice iff adding it leaves the
+    canonical basis unchanged."""
+    v = as_vector(v)
+    if basis.rank and len(v) != basis.dim:
+        raise ValueError("dimension mismatch")
+    return canonical_basis(basis.vectors + (v,)) == \
+        canonical_basis(basis.vectors)
 
 
 def volume_sq(basis: LatticeBasis) -> Fraction:

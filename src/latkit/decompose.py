@@ -18,9 +18,10 @@ from .core import (
     GeneratingSet,
     LatticeBasis,
     Vector,
+    _idot,
     canonical_basis,
     inner_product,
-    is_zero_vector,
+    integerize,
     norm_sq,
 )
 from .reduction import (
@@ -43,26 +44,6 @@ def projection_nonzero(component: LatticeBasis, v) -> bool:
     """Whether v has a nonzero orthogonal projection onto the component's
     span; equivalent to a nonzero inner product with some basis vector."""
     return any(inner_product(v, b) != 0 for b in component.vectors)
-
-
-def is_length_decomposable(v: Vector, s: GeneratingSet) -> bool:
-    """Whether v = x + y with x, y nonzero lattice vectors strictly shorter
-    than v.
-
-    Strictness matters: an orthogonal splitting forces ||x||, ||y|| < ||v||,
-    and with equal norms allowed the minimal vectors of a root lattice would
-    all qualify, emptying the oracle's vertex set.  Completeness of ``s``
-    guarantees any such x appears in it, so exhausting x over s decides the
-    property.
-    """
-    nv = norm_sq(v)
-    for x in s.vectors:
-        if norm_sq(x) >= nv:
-            continue
-        y = tuple(a - b for a, b in zip(v, x))
-        if not is_zero_vector(y) and norm_sq(y) < nv:
-            return True
-    return False
 
 
 def _assert_pairwise_orthogonal(components: Sequence[LatticeBasis]) -> None:
@@ -135,7 +116,17 @@ def graph_decomposition_oracle(s: GeneratingSet) -> Decomposition:
         raise ValueError("generating set is empty")
     if not s.complete:
         raise ValueError("orthogonal decomposition requires a complete set")
-    vertices = [v for v in s.vectors if not is_length_decomposable(v, s)]
+    rows, _ = integerize(s.vectors)
+    norms = [_idot(r, r) for r in rows]
+    # v is length-decomposable iff v = x + (v - x) with x in S and both
+    # parts strictly shorter than v: |x|^2 < |v|^2 and, as |v - x|^2 =
+    # |v|^2 - 2<v,x> + |x|^2, |x|^2 < 2<v,x>.  Completeness of S means
+    # every such x is in it; |x| < |v| makes x != v, so v - x is nonzero.
+    # Strictness matters: with equal norms allowed the minimal vectors of
+    # a root lattice would all qualify, emptying the vertex set.
+    vertices = [i for i, (v, nv) in enumerate(zip(rows, norms))
+                if not any(nx < nv and nx < 2 * _idot(v, x)
+                           for x, nx in zip(rows, norms))]
     unvisited = set(range(len(vertices)))
     components: list[LatticeBasis] = []
     while unvisited:
@@ -146,13 +137,14 @@ def graph_decomposition_oracle(s: GeneratingSet) -> Decomposition:
         while stack:
             i = stack.pop()
             adjacent = [j for j in unvisited
-                        if inner_product(vertices[i], vertices[j]) != 0]
+                        if _idot(rows[vertices[i]], rows[vertices[j]])]
             for j in adjacent:
                 unvisited.discard(j)
                 stack.append(j)
             comp.extend(adjacent)
         components.append(
-            LatticeBasis(canonical_basis([vertices[i] for i in comp])))
+            LatticeBasis(canonical_basis([s.vectors[vertices[i]]
+                                          for i in comp])))
     return _canonicalize(components)
 
 

@@ -5,7 +5,7 @@ keeps them in, and inserted one by one into the integral MLLL engine of
 ``latkit.reduction``; each one that raises the rank of the running lattice
 extends its span and contributes the next minimum.  A complete input set
 guarantees the scan meets a witness of every minimum in order.  The greedy
-oracle recomputes ranks by elimination instead.
+oracle recomputes ranks from the Hermite normal form instead.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from .core import (
     GeneratingSet,
     LatticeBasis,
     Vector,
+    _column_hnf,
     _idot,
+    integerize,
     norm_sq,
-    rank_of,
     volume_sq,
 )
 from .reduction import IncrementalLattice
@@ -62,17 +63,23 @@ def successive_minima(s: GeneratingSet,
 
 def greedy_minima_oracle(s: GeneratingSet) -> MinimaResult:
     """Brute-force reference: scan every vector by norm and keep each one
-    that is linearly independent of those kept so far (rank recomputation,
-    no subspace shortcut, no early exit).  It sorts by norm itself rather
-    than trust the order of ``s``, since that order is part of what it
-    checks."""
+    that is linearly independent of those kept so far, that is, each one
+    that adds a row to the Hermite normal form of the kept rows (rank
+    recomputation, no subspace shortcut, no early exit).  It sorts by norm
+    itself rather than trust the order of ``s``, since that order is part
+    of what it checks, and rescales the vectors of ``s`` itself rather than
+    read ``s.rows``."""
     if not s.vectors:
         raise ValueError("generating set is empty")
+    vs = sorted(s.vectors, key=lambda v: (norm_sq(v), v))
+    rows, _ = integerize(vs)
     kept: list[Vector] = []
+    kept_rows: list[list[int]] = []
     minima: list[Fraction] = []
-    for v in sorted(s.vectors, key=lambda v: (norm_sq(v), v)):
-        if rank_of(kept + [v]) > len(kept):
+    for v, row in zip(vs, rows):
+        if len(_column_hnf(kept_rows + [row])) > len(kept_rows):
             kept.append(v)
+            kept_rows.append(row)
             minima.append(norm_sq(v))
     return MinimaResult(tuple(minima), tuple(kept), len(kept))
 

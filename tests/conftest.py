@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from latkit import LatticeBasis, mlll, rank_of
+from latkit import LatticeBasis, mlll, norm_sq
+
+from reference_linalg import rank_of
 
 
 def d4_basis() -> LatticeBasis:
@@ -59,3 +61,32 @@ def scrambled(draw, basis):
     rows = draw(st.permutations(rows))
     signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
     return LatticeBasis([[s * x for x in r] for s, r in zip(signs, rows)])
+
+
+# Blocks of the orthogonal sums below: scaled copies of Z, Lagrange-reduced
+# rank-2 blocks (orthogonal or not), a scaled copy of D4, and an
+# indecomposable rank-3 block whose two shortest vectors are orthogonal: the
+# merge scan starts a component with each, and a later vector must join both
+# at once.
+BLOCKS = [[(2,)], [(3,)],
+          [(2, 0), (1, 3)], [(2, 1), (-2, 2)], [(3, 0), (1, 3)],
+          [(2, 1), (1, -2)], [(2, 2), (-2, 1)],
+          [tuple(2 * c for c in v) for v in d4_basis().vectors],
+          [(2, 0, 0), (0, 2, 0), (1, 1, 2)]]
+
+
+@st.composite
+def scrambled_block_lattices(draw):
+    """An orthogonal sum of two to four blocks of total rank at most 6,
+    scrambled by unimodular row operations, and the largest squared norm of
+    a block basis vector: the enumeration up to it contains the block bases,
+    so the set it returns generates the whole lattice."""
+    parts = draw(st.lists(st.sampled_from(BLOCKS), min_size=2, max_size=4)
+                 .filter(lambda ps: sum(len(p) for p in ps) <= 6))
+    n = sum(len(p) for p in parts)
+    rows, offset = [], 0
+    for p in parts:
+        rows += embed_block(p, offset, n)
+        offset += len(p)
+    bound = max(norm_sq(r) for r in rows)
+    return draw(scrambled(LatticeBasis(rows))), bound

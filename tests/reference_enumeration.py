@@ -15,8 +15,10 @@ import itertools
 import math
 from fractions import Fraction
 
-from latkit.core import GeneratingSet, Vector, gram_matrix, norm_sq
+from latkit.core import GeneratingSet, Vector, norm_sq
 from latkit.enumeration import EnumerationCapExceeded, EnumerationRequest
+
+from reference_linalg import gram_matrix
 
 
 def box_oracle(req: EnumerationRequest) -> GeneratingSet:

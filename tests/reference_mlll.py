@@ -21,12 +21,13 @@ from latkit.core import (
     as_vector,
     inner_product,
     integerize,
-    is_member,
     is_zero_vector,
     volume_sq,
 )
 from latkit.incremental import InsertionRecord
 from latkit.reduction import DEFAULT_PARAMS
+
+from reference_linalg import reference_is_member
 
 
 def _dot(u, v) -> Fraction:
@@ -142,7 +143,8 @@ def reference_basis_union(basis, v, params=DEFAULT_PARAMS) -> LatticeBasis:
 
 
 def reference_incremental_basis(generators, params=DEFAULT_PARAMS):
-    """Localize with ``is_member``, update with ``reference_basis_union``."""
+    """Localize with ``reference_is_member``, update with
+    ``reference_basis_union``."""
     vs = [as_vector(v) for v in generators]
     dims = {len(v) for v in vs}
     dim = dims.pop() if dims else None
@@ -151,7 +153,7 @@ def reference_incremental_basis(generators, params=DEFAULT_PARAMS):
     for i, v in enumerate(vs):
         if is_zero_vector(v):
             continue
-        if is_member(basis, v):
+        if reference_is_member(basis, v):
             records.append(InsertionRecord(i, False, basis.rank,
                                            volume_sq(basis)))
         else:

@@ -1,7 +1,9 @@
+import codecs
 import contextlib
 import hashlib
 import io
 import json
+import locale
 import math
 import os
 import subprocess
@@ -157,6 +159,27 @@ class TestExitCodes:
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["basis", str(tmp_path / "missing.lat")])
+        self._check(code, EXIT_PARSE, capsys)
+
+    @pytest.mark.skipif(
+        codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8",
+        reason="files are read in the locale's encoding, here not UTF-8")
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.lat"
+        path.write_bytes(b"1 1\n\xff\n")
+        code = main(["basis", str(path)])
+        self._check(code, EXIT_PARSE, capsys)
+
+    def test_non_utf8_stdin(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(b"1 1\n\xff\n"), encoding="utf-8"))
+        code = main(["basis", "-"])
+        self._check(code, EXIT_PARSE, capsys)
+
+    @pytest.mark.parametrize("command", ["minima", "decompose"])
+    def test_bound_sq_with_bound(self, command, tmp_path, capsys):
+        code = run_cli([command, "FILE", "--bound-sq", "25", "--bound", "3"],
+                       tmp_path, "1 1\n5\n")
         self._check(code, EXIT_PARSE, capsys)
 
     def test_trace_cap_exceeded(self, tmp_path, capsys):

@@ -10,13 +10,11 @@ from latkit import (
     LatticeBasis,
     canonical_basis,
     enumerate_up_to,
-    gram_matrix,
     inner_product,
     is_member,
     lattice_equal,
     norm_sq,
     orthogonal_decomposition,
-    solve_in_span,
     successive_minima,
     volume_sq,
 )
@@ -24,6 +22,7 @@ from latkit.core import as_vector, integerize
 from latkit.enumeration import EnumerationRequest
 
 from reference_hnf import reference_canonical_basis, reference_hnf
+from reference_linalg import gram_matrix, solve_in_span
 
 
 def laplace_det(m) -> F:

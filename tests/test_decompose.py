@@ -11,7 +11,6 @@ from latkit import (
     canonical_component_forms,
     enumerate_up_to,
     graph_decomposition_oracle,
-    is_length_decomposable,
     lattice_equal,
     mlll,
     norm_sq,
@@ -26,7 +25,9 @@ from conftest import (
     embed_block,
     random_reduced_basis,
     scrambled,
+    scrambled_block_lattices,
 )
+from reference_linalg import is_length_decomposable
 
 
 def complete_set(basis, bound_sq, cap=10**6):
@@ -214,35 +215,6 @@ class TestDirectSums:
             assert d.r == expected
             assert canonical_component_forms(d) == \
                 canonical_component_forms(graph_decomposition_oracle(s))
-
-
-# Blocks of the orthogonal sums below: scaled copies of Z, Lagrange-reduced
-# rank-2 blocks (orthogonal or not), a scaled copy of D4, and an
-# indecomposable rank-3 block whose two shortest vectors are orthogonal: the
-# merge scan starts a component with each, and a later vector must join both
-# at once.
-BLOCKS = [[(2,)], [(3,)],
-          [(2, 0), (1, 3)], [(2, 1), (-2, 2)], [(3, 0), (1, 3)],
-          [(2, 1), (1, -2)], [(2, 2), (-2, 1)],
-          [tuple(2 * c for c in v) for v in d4_basis().vectors],
-          [(2, 0, 0), (0, 2, 0), (1, 1, 2)]]
-
-
-@st.composite
-def scrambled_block_lattices(draw):
-    """An orthogonal sum of two to four blocks of total rank at most 6,
-    scrambled by unimodular row operations, and the largest squared norm of
-    a block basis vector: the enumeration up to it contains the block bases,
-    so the set it returns generates the whole lattice."""
-    parts = draw(st.lists(st.sampled_from(BLOCKS), min_size=2, max_size=4)
-                 .filter(lambda ps: sum(len(p) for p in ps) <= 6))
-    n = sum(len(p) for p in parts)
-    rows, offset = [], 0
-    for p in parts:
-        rows += embed_block(p, offset, n)
-        offset += len(p)
-    bound = max(norm_sq(r) for r in rows)
-    return draw(scrambled(LatticeBasis(rows))), bound
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,8 +2,8 @@
 
 The engine must reproduce the rational MLLL it replaced exactly: the same
 basis vectors in the same order, the same trace records, the same membership
-answers as the rational ``is_member``, and a lattice equal to the HNF
-oracle's.  ``reference_mlll`` holds the frozen rational code.
+answers as ``is_member``, and a lattice equal to the HNF oracle's.
+``reference_mlll`` holds the frozen rational code.
 """
 
 from fractions import Fraction as F

@@ -1,0 +1,119 @@
+"""Differential tests of the integer ``--verify`` oracles and ``is_member``.
+
+The greedy rank scan, the graph components and the membership test run on
+the integer Hermite normal form and integer dot products; each must give
+exactly the answer of the rational elimination it replaced, frozen in
+``reference_linalg``.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from latkit import (
+    LatticeBasis,
+    enumerate_up_to,
+    graph_decomposition_oracle,
+    greedy_minima_oracle,
+    is_member,
+)
+from latkit.enumeration import EnumerationRequest
+
+from conftest import scrambled_block_lattices
+from reference_linalg import (
+    rank_of,
+    reference_graph_decomposition_oracle,
+    reference_greedy_minima_oracle,
+    reference_is_member,
+)
+
+# Rescalings of the lattice, and how far below the block bound to enumerate:
+# a lower bound gives a set that may miss part of the lattice, on which the
+# oracles must still agree.
+SCALES = st.sampled_from([F(1), F(1, 2), F(2, 3), F(3)])
+BOUND_FACTORS = st.sampled_from([F(1), F(3, 4), F(1, 2)])
+# The indecomposable rank-3 block whose two shortest vectors are
+# orthogonal: (1, 1, 2) joins both.
+JOINS_TWO = (LatticeBasis([(2, 0, 0), (0, 2, 0), (1, 1, 2)]), 6)
+
+
+def _block_set(case, c, t):
+    basis, bound = case
+    scaled = LatticeBasis([[c * x for x in v] for v in basis.vectors])
+    return enumerate_up_to(EnumerationRequest(scaled, c * c * t * bound))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scrambled_block_lattices(), SCALES, BOUND_FACTORS)
+@example(JOINS_TWO, F(1), F(1))
+@example(JOINS_TWO, F(1, 2), F(1))
+def test_greedy_oracle_equals_frozen_reference(case, c, t):
+    s = _block_set(case, c, t)
+    assume(s.vectors)
+    assert greedy_minima_oracle(s) == reference_greedy_minima_oracle(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scrambled_block_lattices(), SCALES, BOUND_FACTORS)
+@example(JOINS_TWO, F(1), F(1))
+@example(JOINS_TWO, F(1, 2), F(1))
+def test_graph_oracle_equals_frozen_reference(case, c, t):
+    s = _block_set(case, c, t)
+    assume(s.vectors)
+    assert graph_decomposition_oracle(s) == \
+        reference_graph_decomposition_oracle(s)
+
+
+ENTRIES = st.sampled_from([F(0), F(1), F(-1), F(2), F(-3), F(1, 2),
+                           F(-2, 3)])
+
+
+@st.composite
+def bases_and_vectors(draw):
+    """A basis of rank at most its dimension (empty included) with rational
+    entries, and a vector: an integer combination of the basis shifted by
+    0, 1/2 or 1/3 in one coordinate, or an arbitrary vector."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(0, d))
+    rows = [tuple(draw(ENTRIES) for _ in range(d)) for _ in range(n)]
+    assume(rank_of(rows) == n)
+    basis = LatticeBasis(rows, dim=d)
+    if draw(st.booleans()):
+        coeffs = [draw(st.integers(-3, 3)) for _ in range(n)]
+        v = [sum((k * r[i] for k, r in zip(coeffs, rows)), F(0))
+             for i in range(d)]
+        v[draw(st.integers(0, d - 1))] += draw(
+            st.sampled_from([0, F(1, 2), F(1, 3)]))
+    else:
+        v = [draw(ENTRIES) for _ in range(d)]
+    return basis, tuple(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bases_and_vectors())
+def test_is_member_equals_frozen_reference(case):
+    basis, v = case
+    assert is_member(basis, v) == reference_is_member(basis, v)
+
+
+class TestIsMemberEdgeCases:
+    @pytest.mark.parametrize("v, member", [
+        ((3, 1), True), ((2, 1), False), ((F(7, 2), F(1, 2)), False),
+        ((3, F(4, 3)), False)])
+    def test_half_and_third_shifts(self, v, member):
+        basis = LatticeBasis([(1, 1), (1, -1)])
+        assert is_member(basis, v) == reference_is_member(basis, v) == member
+
+    @pytest.mark.parametrize("v", [(0, 0), (1, 0), (F(1, 2), 0), (0, 0, 0)])
+    def test_empty_basis(self, v):
+        basis = LatticeBasis((), dim=2)
+        assert is_member(basis, v) == reference_is_member(basis, v) == \
+            (not any(v))
+
+    def test_dimension_mismatch(self):
+        basis = LatticeBasis([(1, 0), (0, 1)])
+        for member in (is_member, reference_is_member):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                member(basis, (1, 0, 0))

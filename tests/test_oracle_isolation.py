@@ -3,8 +3,10 @@
 Each oracle must still run, and give the engine's answers, when
 ``IncrementalLattice`` cannot even be built: the HNF ``lattice_equal`` of
 ``basis``, the greedy rank scan and the Minkowski check of ``minima``, and
-the graph components of ``decompose``.
+the graph components of ``decompose``; so must the HNF ``is_member``.
 """
+
+from fractions import Fraction as F
 
 import pytest
 
@@ -16,6 +18,7 @@ from latkit import (
     graph_decomposition_oracle,
     greedy_minima_oracle,
     incremental_basis,
+    is_member,
     lattice_equal,
     minkowski_check,
     mlll,
@@ -44,6 +47,9 @@ def test_oracles_run_without_the_engine(monkeypatch):
         mlll(rows)
 
     assert lattice_equal(basis, rows) and lattice_equal(subset, rows)
+    assert all(is_member(basis, v) for v in rows)
+    assert not is_member(basis, (F(1, 2), 0, 0, 0, 0))
+    assert not is_member(basis, (0, 1, 0, 0, 0))
     greedy = greedy_minima_oracle(s)
     assert greedy.minima_sq == minima.minima_sq == (1, 2, 2, 2, 2)
     assert minkowski_check(basis, minima)

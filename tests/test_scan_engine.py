@@ -19,15 +19,14 @@ from latkit import (
     EnumerationRequest,
     LatticeBasis,
     enumerate_up_to,
-    gram_matrix,
     greedy_minima_oracle,
     norm_sq,
-    rank_of,
     successive_minima,
 )
 
 from conftest import scrambled
 from reference_enumeration import _gram_inverse_diagonal, box_oracle
+from reference_linalg import gram_matrix, rank_of
 
 
 @st.composite
