@@ -86,11 +86,29 @@ def format_vector(v: Vector) -> str:
     return " ".join(format_scalar(c) for c in v)
 
 
-def parse_lattice_file(text: str) -> tuple[int, int, list[Vector]]:
-    """Parse header 'd m' plus m rows of d rational literals."""
+def _literal(token: str):
+    """The value of one rational literal: an ``int`` when the token is an
+    integer literal, else a ``Fraction``, always equal to ``Fraction(token)``.
+
+    ``int`` takes only ASCII tokens without ``_``: on Python 3.10
+    ``int('1_000')`` is 1000 but ``Fraction('1_000')`` raises.  Every other
+    token, and every token ``int`` rejects (``3/0``, ``1.5``, more digits
+    than the conversion limit), goes to ``Fraction``, which raises the
+    error."""
+    if token.isascii() and "_" not in token:
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    return Fraction(token)
+
+
+def parse_lattice_file(text: str) -> tuple[int, int, list[tuple]]:
+    """Parse header 'd m' plus m rows of d rational literals; each entry is
+    an ``int`` for an integer literal and a ``Fraction`` otherwise."""
     header: Optional[tuple[int, int]] = None
     header_line = 1
-    rows: list[Vector] = []
+    rows: list[tuple] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -114,7 +132,7 @@ def parse_lattice_file(text: str) -> tuple[int, int, list[Vector]]:
             raise LatticeFileError(
                 line_no, f"expected {d} entries, got {len(tokens)}")
         try:
-            rows.append(tuple(Fraction(t) for t in tokens))
+            rows.append(tuple(map(_literal, tokens)))
         except (ValueError, ZeroDivisionError) as exc:
             raise LatticeFileError(line_no, f"bad rational literal: {exc}")
         if len(rows) > m:

@@ -1,12 +1,15 @@
 """Exact rational linear algebra kernel for lattice computations.
 
 Vectors are tuples of ``fractions.Fraction``; every operation here is exact.
-Norms and volumes are carried as squared quantities so all comparisons stay
-rational.  Where a whole family of vectors is processed at once (the
-independence check of ``LatticeBasis``, the norm order of ``GeneratingSet``,
-the Hermite normal form behind lattice equality and membership) it is first
-rescaled to integer rows over one common denominator, and the arithmetic
-runs on those integers.
+Vectors handed in may hold ``int`` entries as well, as the lattice-file
+parser returns them for integer literals.  Norms and volumes are carried as
+squared quantities so all comparisons stay rational.  Where a whole family
+of vectors is processed at once (the independence check of
+``LatticeBasis``, the norm order of ``GeneratingSet``, the Hermite normal
+form behind lattice equality and membership) it is first rescaled to
+integer rows over one common denominator (``integerize``, which reads
+``int`` and ``Fraction`` entries as they are), and the arithmetic runs on
+those integers.
 """
 
 from __future__ import annotations
@@ -233,9 +236,16 @@ def _row_hnf(rows: list[list[int]], d: int) -> list[list[int]]:
 
 def integerize(vectors: Iterable) -> tuple[list[list[int]], int]:
     """Rescale rational vectors by the lcm of all denominators: integer rows
-    and that common denominator."""
-    vs = [as_vector(v) for v in vectors]
+    and that common denominator.
+
+    ``int`` and ``Fraction`` entries are read as they are, anything else
+    through ``Fraction(c)``; at a common denominator of 1 the rows are the
+    numerators."""
+    vs = [[c if type(c) is int or type(c) is Fraction else Fraction(c)
+           for c in v] for v in vectors]
     scale = math.lcm(*{c.denominator for v in vs for c in v})
+    if scale == 1:
+        return [[c.numerator for c in v] for v in vs], 1
     return [[c.numerator * (scale // c.denominator) for c in v]
             for v in vs], scale
 

@@ -22,7 +22,6 @@ from .core import (
     _column_hnf,
     _idot,
     integerize,
-    norm_sq,
     volume_sq,
 )
 from .reduction import IncrementalLattice
@@ -68,19 +67,20 @@ def greedy_minima_oracle(s: GeneratingSet) -> MinimaResult:
     recomputation, no subspace shortcut, no early exit).  It sorts by norm
     itself rather than trust the order of ``s``, since that order is part
     of what it checks, and rescales the vectors of ``s`` itself rather than
-    read ``s.rows``."""
+    read ``s.rows``.  With the scale positive, sorting the integer rows on
+    ``(norm, row)`` gives the order of ``(norm_sq(v), v)``."""
     if not s.vectors:
         raise ValueError("generating set is empty")
-    vs = sorted(s.vectors, key=lambda v: (norm_sq(v), v))
-    rows, _ = integerize(vs)
+    rows, scale = integerize(s.vectors)
+    keyed = sorted((_idot(r, r), r, v) for r, v in zip(rows, s.vectors))
     kept: list[Vector] = []
     kept_rows: list[list[int]] = []
     minima: list[Fraction] = []
-    for v, row in zip(vs, rows):
+    for n, row, v in keyed:
         if len(_column_hnf(kept_rows + [row])) > len(kept_rows):
             kept.append(v)
             kept_rows.append(row)
-            minima.append(norm_sq(v))
+            minima.append(Fraction(n, scale * scale))
     return MinimaResult(tuple(minima), tuple(kept), len(kept))
 
 

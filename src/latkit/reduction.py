@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 from typing import Optional, Sequence
 
 from .core import (
@@ -60,9 +61,14 @@ class IncrementalLattice:
     swap rules are those of Pohst's rational MLLL, step for step, so every
     decision (and the output) is the same as there; the zero vector ends at
     position 0 and is dropped.
+
+    ``_known`` holds every row ``insert`` has been given, once each.  The
+    lattice only grows under ``insert``, so each of them, and its negation,
+    stays a member.
     """
 
-    __slots__ = ("dim", "scale", "rows", "d", "lam", "swaps", "_p", "_q")
+    __slots__ = ("dim", "scale", "rows", "d", "lam", "swaps", "_known",
+                 "_p", "_q")
 
     def __init__(self, dim: int, params: ReductionParams = DEFAULT_PARAMS,
                  scale: int = 1):
@@ -72,6 +78,7 @@ class IncrementalLattice:
         self.d: list[int] = [1]
         self.lam: list[list[int]] = []
         self.swaps = 0
+        self._known: set[tuple[int, ...]] = set()
         self._p = params.delta.numerator
         self._q = params.delta.denominator
 
@@ -120,16 +127,23 @@ class IncrementalLattice:
         """Localize the vector ``row / scale``, given as its integer row
         over the engine's scale; when it lies outside the lattice, add it.
 
-        Returns whether the insertion was an update.  Membership is the
-        nearest-plane reduction of the lambda-row: the vector is in the
-        lattice iff it lies in the span (``d_{n+1} = 0``) and each
-        coefficient, taken from the top, is an integer multiple of its ``d``.
+        Returns whether the insertion was an update.  A row equal to one
+        inserted before, or to its negation, is a member at once.  Otherwise
+        membership is the nearest-plane reduction of the lambda-row: the
+        vector is in the lattice iff it lies in the span (``d_{n+1} = 0``)
+        and each coefficient, taken from the top, is an integer multiple of
+        its ``d``.
         """
-        lam_row, dn = self._gram_schmidt_row(row)
-        if dn == 0 and self._reduces_to_zero(lam_row):
+        key = tuple(row)
+        known = self._known
+        if key in known or tuple(map(neg, key)) in known:
             return False
-        self._add(row, lam_row, dn)
-        return True
+        lam_row, dn = self._gram_schmidt_row(row)
+        was_update = dn != 0 or not self._reduces_to_zero(lam_row)
+        if was_update:
+            self._add(row, lam_row, dn)
+        known.add(key)
+        return was_update
 
     # -- state ----------------------------------------------------------
     def _gram_schmidt_row(self, v: Sequence[int]) -> tuple[list[int], int]:

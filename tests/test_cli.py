@@ -6,6 +6,7 @@ import json
 import locale
 import math
 import os
+import re
 import subprocess
 import sys
 import sysconfig
@@ -14,7 +15,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latkit import LatticeBasis, cli, enumerate_up_to, lattice_equal
@@ -50,6 +51,31 @@ GLUE5 = ("5 5\n2 0 0 0 0\n0 2 0 0 0\n0 0 2 0 0\n0 0 0 2 0\n"
          "1 1 1 1 1\n")
 
 
+# Digits the parser may meet: ASCII, Arabic-Indic and fullwidth digits
+# (Fraction reads any Unicode decimal digit), and two that are not decimal.
+DIGITS = "0123456789" + "٠١٢٣٤" + "１９"
+NOT_DIGITS = "½²"
+
+
+@st.composite
+def literal_tokens(draw):
+    """Whitespace-free tokens: signed integers, fractions, decimals and
+    exponents with leading zeros and '_' in any place, and free mixtures of
+    their characters.  Exponents stay below five digits: Fraction('1e99999')
+    builds a 100000-digit integer."""
+    if draw(st.booleans()):
+        alphabet = DIGITS + NOT_DIGITS + "+-_/.eEx"
+        return draw(st.text(alphabet, min_size=1, max_size=6))
+    chars = DIGITS[:10] if draw(st.booleans()) else DIGITS + "_"
+    digits = st.text(chars, min_size=1, max_size=8)
+    token = draw(st.sampled_from(["", "+", "-"])) + draw(digits)
+    tail = draw(st.sampled_from(["", "/", ".", "e", "e-", "E+"]))
+    if tail:
+        token += tail + draw(digits if tail in "/." else
+                             st.text(chars, min_size=1, max_size=3))
+    return token
+
+
 class TestParsing:
     def test_round_trip(self):
         d, m, rows = parse_lattice_file("2 2\n1/2 -3\n0 7/5\n")
@@ -74,6 +100,53 @@ class TestParsing:
     def test_missing_header(self):
         with pytest.raises(LatticeFileError):
             parse_lattice_file("# nothing here\n")
+
+    @settings(max_examples=500, deadline=None)
+    @given(literal_tokens())
+    @example("-0")
+    @example("007")
+    @example("+5")
+    @example("1_000")
+    @example("_1")
+    @example("1__0")
+    @example("1_")
+    @example("١٢")
+    @example("٣/٤")
+    @example("1e3")
+    @example("1.5")
+    @example("3/0")
+    @example("0x10")
+    @example("9" * 5000)
+    @example("-" + "9" * 4300)
+    def test_entry_equals_fraction_of_token(self, token):
+        # The parser's value of a token is Fraction(token), an int when it
+        # is integral; where Fraction(token) raises, the parser reports the
+        # same error type and message.
+        try:
+            want = F(token)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(LatticeFileError) as err:
+                parse_lattice_file(f"1 1\n{token}\n")
+            assert str(err.value) == f"line 2: bad rational literal: {exc}"
+            assert type(err.value.__context__) is type(exc)
+            return
+        [(got,)] = parse_lattice_file(f"1 1\n{token}\n")[2]
+        assert got == want
+        assert type(got) in (int, F)
+        assert (type(got) is int) == bool(re.fullmatch(r"[+-]?[0-9]+", token))
+
+    def test_entries_are_int_or_fraction(self):
+        _, _, rows = parse_lattice_file("2 3\n1/2 -3\n٣/٤ 007\n+5 -0\n")
+        assert rows == [(F(1, 2), -3), (F(3, 4), 7), (5, 0)]
+        assert [[type(c) for c in r] for r in rows] == \
+            [[F, int], [F, int], [int, int]]
+
+    def test_underscore_literal_exit_code(self, tmp_path, capsys):
+        # Fraction accepts '_' separators from Python 3.11 on, int already
+        # on 3.10; the parser follows Fraction.
+        code = run_cli(["basis", "FILE"], tmp_path, "1 1\n1_000\n")
+        want = EXIT_OK if sys.version_info >= (3, 11) else EXIT_PARSE
+        assert code == want
 
     def test_format_scalar(self):
         assert format_scalar(F(3)) == "3"

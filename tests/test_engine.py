@@ -3,7 +3,9 @@
 The engine must reproduce the rational MLLL it replaced exactly: the same
 basis vectors in the same order, the same trace records, the same membership
 answers as ``is_member``, and a lattice equal to the HNF oracle's.
-``reference_mlll`` holds the frozen rational code.
+``reference_mlll`` holds the frozen rational code.  ``insert`` answers a row
+given to it before, or its negation, from its known-row set; the pool
+families repeat, negate and double rows to exercise that set.
 """
 
 from fractions import Fraction as F
@@ -38,8 +40,14 @@ def generator_families(draw):
     if kind == "free":
         gens = draw(st.lists(row, min_size=m, max_size=m))
     elif kind == "pool":
+        # Repeats, negations and doubles of a few rows: the known-row set
+        # answers the first two, and a row can come after its double, under
+        # which it need not be a member.
         pool = draw(st.lists(row, min_size=1, max_size=3))
-        gens = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+        pick = st.tuples(st.sampled_from(pool),
+                         st.sampled_from([1, -1, 2, -2]))
+        gens = [tuple(c * x for x in v)
+                for v, c in draw(st.lists(pick, min_size=m, max_size=m))]
     else:
         base = draw(st.lists(row, min_size=1, max_size=max(1, d - 1)))
         coeffs = st.tuples(*[st.integers(-2, 2)] * len(base))
@@ -73,6 +81,39 @@ def test_incremental_basis_equals_reference_loop(family, params):
     assert basis.vectors == want_basis.vectors
     assert basis.dim == want_basis.dim
     assert trace.insertions == want_records
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_families(), st.data())
+def test_known_rows_agree_with_is_member(family, data):
+    # After the family is inserted, probe each inserted row, its negation,
+    # the row with its first entry negated, and its half when that is an
+    # integer row: the half of an inserted row need not be a member.
+    _, gens = family
+    lattice, rows = IncrementalLattice.over(gens)
+    probes = []
+    for row in rows:
+        lattice.insert(row)
+        probes += [row, [-c for c in row], [-row[0]] + row[1:]]
+        if all(c % 2 == 0 for c in row):
+            probes.append([c // 2 for c in row])
+    for probe in data.draw(st.permutations(probes)):
+        v = tuple(F(c, lattice.scale) for c in probe)
+        expected = is_member(lattice.basis(), v)
+        assert lattice.insert(probe) is not expected
+
+
+def test_repeated_and_negated_rows_skip_the_localization(monkeypatch):
+    calls = []
+    gram_schmidt_row = IncrementalLattice._gram_schmidt_row
+    monkeypatch.setattr(
+        IncrementalLattice, "_gram_schmidt_row",
+        lambda self, v: calls.append(tuple(v)) or gram_schmidt_row(self, v))
+    lattice = IncrementalLattice(2)
+    rows = [(2, 1), (1, 3), (3, 4), (2, 1), (-2, -1), (-3, -4), (3, 4),
+            (4, 2), (-1, -3), [1, 3]]
+    assert [lattice.insert(r) for r in rows] == [True, True] + [False] * 8
+    assert calls == [(2, 1), (1, 3), (3, 4), (4, 2)]
 
 
 @settings(max_examples=200, deadline=None)
