@@ -11,7 +11,6 @@ from .core import (
     LatticeBasis,
     Vector,
     canonical_basis,
-    inner_product,
     is_member,
     lattice_equal,
     norm_sq,
@@ -22,7 +21,6 @@ from .decompose import (
     canonical_component_forms,
     graph_decomposition_oracle,
     orthogonal_decomposition,
-    projection_nonzero,
 )
 from .enumeration import (
     EnumerationCapExceeded,
@@ -68,14 +66,12 @@ __all__ = [
     "graph_decomposition_oracle",
     "greedy_minima_oracle",
     "incremental_basis",
-    "inner_product",
     "is_member",
     "lattice_equal",
     "minkowski_check",
     "mlll",
     "norm_sq",
     "orthogonal_decomposition",
-    "projection_nonzero",
     "successive_minima",
     "update_step_bound_holds",
     "update_step_bound_value",

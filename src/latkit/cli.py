@@ -35,7 +35,6 @@ except ImportError:
 from .core import (
     LatticeBasis,
     Vector,
-    is_zero_vector,
     lattice_equal,
     norm_sq,
     volume_sq,
@@ -79,7 +78,19 @@ class UsageError(Exception):
 
 
 def format_scalar(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    try:
+        return str(x.numerator) if x.denominator == 1 else \
+            f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        # An integer past the interpreter's int-to-str digit limit (4300
+        # digits by default): print it in full, with the limit lifted for
+        # this one conversion.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return format_scalar(x)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def format_vector(v: Vector) -> str:
@@ -335,7 +346,7 @@ def random_instance(rng: random.Random, d: int, m: int, entry_range: int,
         while True:
             v = tuple(Fraction(rng.randint(-entry_range, entry_range))
                       for _ in range(d))
-            if not is_zero_vector(v):
+            if any(v):
                 return v
 
     if duplicates:

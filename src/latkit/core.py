@@ -29,18 +29,8 @@ def as_vector(coords: Iterable) -> Vector:
     return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
-def is_zero_vector(v: Vector) -> bool:
-    return all(c == 0 for c in v)
-
-
-def inner_product(u: Vector, v: Vector) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
 def norm_sq(v: Vector) -> Fraction:
-    return inner_product(v, v)
+    return sum((c * c for c in v), Fraction(0))
 
 
 def _idot(u, v) -> int:

@@ -3,10 +3,11 @@
 Two routes to the same (Eichler-unique) answer: an incremental merge scan
 over a complete generating set, and a graph oracle that takes connected
 components of the non-orthogonality graph on length-indecomposable vectors.
-The scan tests each vector for membership in the running sum with the
-integral MLLL engine of ``latkit.reduction`` and reduces each merged
-component with it; the oracle never uses it: it takes each component's
-basis from the Hermite normal form of its vertices (``canonical_basis``).
+The scan runs on the set's integer rows: it tests each row for membership
+in the running sum with the integral MLLL engine of ``latkit.reduction``,
+and each component is such an engine, rebuilt from its rows at a merge.
+The oracle never uses it: it takes each component's basis from the Hermite
+normal form of its vertices (``canonical_basis``).
 """
 
 from __future__ import annotations
@@ -18,18 +19,12 @@ from .core import (
     GeneratingSet,
     LatticeBasis,
     Vector,
+    _column_hnf,
     _idot,
     canonical_basis,
-    inner_product,
     integerize,
-    norm_sq,
 )
-from .reduction import (
-    DEFAULT_PARAMS,
-    IncrementalLattice,
-    ReductionParams,
-    mlll,
-)
+from .reduction import DEFAULT_PARAMS, IncrementalLattice, ReductionParams
 
 
 @dataclass(frozen=True)
@@ -40,28 +35,20 @@ class Decomposition:
     r: int
 
 
-def projection_nonzero(component: LatticeBasis, v) -> bool:
-    """Whether v has a nonzero orthogonal projection onto the component's
-    span; equivalent to a nonzero inner product with some basis vector."""
-    return any(inner_product(v, b) != 0 for b in component.vectors)
-
-
-def _assert_pairwise_orthogonal(components: Sequence[LatticeBasis]) -> None:
-    for i in range(len(components)):
-        for j in range(i + 1, len(components)):
-            for u in components[i].vectors:
-                for w in components[j].vectors:
-                    if inner_product(u, w) != 0:
-                        raise AssertionError(
-                            "components lost pairwise orthogonality")
-
-
 def _canonicalize(components: Sequence[LatticeBasis]) -> Decomposition:
-    """Sort components into the canonical order and assemble the output."""
+    """Sort components into the canonical order and assemble the output.
+
+    Each component is keyed on the Hermite normal form of its slice of one
+    integerization of all components, and the least squared norm in that
+    form.  The common scale is positive, so this orders the components as
+    the pair (least squared norm, ``canonical_basis``) of each would."""
+    ints, _ = integerize(v for c in components for v in c.vectors)
     keyed = []
+    pos = 0
     for c in components:
-        canon = canonical_basis(c.vectors)
-        keyed.append(((min(norm_sq(v) for v in canon), canon), c))
+        canon = _column_hnf(ints[pos:pos + c.rank])
+        pos += c.rank
+        keyed.append(((min(_idot(r, r) for r in canon), canon), c))
     keyed.sort(key=lambda kv: kv[0])
     comps = tuple(c for _, c in keyed)
     grouped: list[Vector] = []
@@ -80,31 +67,35 @@ def orthogonal_decomposition(s: GeneratingSet,
     """Decompose the lattice generated by the complete set ``s`` into
     indecomposable pairwise-orthogonal sublattices.
 
-    Vectors are scanned in the nondecreasing norm order of ``s``; a vector
-    outside the current sum merges every component it projects onto into a
-    single new component with a freshly reduced basis.  ``check_invariants``
-    asserts pairwise orthogonality after every merge.
+    Vectors are scanned in the nondecreasing norm order of ``s``, as the
+    integer rows ``s.rows`` over ``s.scale``; each component is an engine
+    over that scale.  A row outside the current sum joins every component
+    holding a row it is not orthogonal to (its projection onto their span is
+    nonzero) into one new engine, fed the row and then the rows of the
+    joined components in list order.  ``check_invariants`` asserts pairwise
+    orthogonality after every merge.
     """
     if not s.vectors:
         raise ValueError("generating set is empty")
     if not s.complete:
         raise ValueError("orthogonal decomposition requires a complete set")
-    components: list[LatticeBasis] = []
-    total = IncrementalLattice(len(s.rows[0]), params, s.scale)
-    for v, row in zip(s.vectors, s.rows):
+    dim = len(s.rows[0])
+    components: list[IncrementalLattice] = []
+    total = IncrementalLattice(dim, params, s.scale)
+    for row in s.rows:
         if not total.insert(row):
             continue
-        joined = [i for i, c in enumerate(components)
-                  if projection_nonzero(c, v)]
-        merged_gens = [v]
-        for i in joined:
-            merged_gens.extend(components[i].vectors)
-        merged = mlll(merged_gens, params)
-        components = [c for i, c in enumerate(components)
-                      if i not in joined] + [merged]
-        if check_invariants:
-            _assert_pairwise_orthogonal(components)
-    return _canonicalize(components)
+        joined = [c for c in components
+                  if any(_idot(row, b) for b in c.rows)]
+        merged = IncrementalLattice(dim, params, s.scale)
+        merged.extend([row, *(b for c in joined for b in c.rows)])
+        components = [c for c in components if c not in joined] + [merged]
+        if check_invariants and any(
+                _idot(u, w)
+                for i, a in enumerate(components) for b in components[i + 1:]
+                for u in a.rows for w in b.rows):
+            raise AssertionError("components lost pairwise orthogonality")
+    return _canonicalize([c.basis() for c in components])
 
 
 def graph_decomposition_oracle(s: GeneratingSet) -> Decomposition:

@@ -10,7 +10,7 @@ of a dependent vector.  All three algorithms run on it: batch reduction
 (``mlll``) and the incremental basis construction, the successive-minima
 scan and the short-vector enumerator (which reads the reduced basis's
 Gram-Schmidt form from ``d`` and ``lambda``), and the decomposition's
-membership scan.
+membership scan and merge.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import neg
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     LatticeBasis,
@@ -98,12 +98,9 @@ class IncrementalLattice:
     def from_generators(cls, generators: Sequence,
                         params: ReductionParams = DEFAULT_PARAMS
                         ) -> "IncrementalLattice":
-        """Batch MLLL: every nonzero generator goes through the swap loop in
-        order, with no membership shortcut."""
+        """Batch MLLL of ``generators``: ``extend`` over their rows."""
         lat, rows = cls.over(generators, params)
-        for row in rows:
-            if any(row):
-                lat._add(row, *lat._gram_schmidt_row(row))
+        lat.extend(rows)
         return lat
 
     @property
@@ -122,6 +119,14 @@ class IncrementalLattice:
         vectors = tuple(tuple(Fraction(c, s) for c in row)
                         for row in self.rows)
         return LatticeBasis._trusted(vectors, self.volume_sq, self.dim)
+
+    def extend(self, rows: Iterable[Sequence[int]]) -> None:
+        """Batch MLLL: every nonzero row, an integer row over the engine's
+        scale, goes through the swap loop in order, with no membership
+        shortcut and without entering the known-row set."""
+        for row in rows:
+            if any(row):
+                self._add(row, *self._gram_schmidt_row(row))
 
     def insert(self, row: Sequence[int]) -> bool:
         """Localize the vector ``row / scale``, given as its integer row

@@ -3,11 +3,13 @@
 form, kept as test code only.
 
 ``gram_matrix``, ``rank_of``, ``solve_in_span`` and ``is_length_decomposable``
-are copied unchanged; ``reference_is_member`` is the old body of
-``is_member``.  ``reference_greedy_minima_oracle`` and
-``reference_graph_decomposition_oracle`` are the two oracles as they were
-before, so the differential tests can require equal results from the integer
-ones.
+are copied unchanged, as are ``inner_product`` and ``is_zero_vector``, the
+``Fraction`` dot product and zero test ``latkit.core`` held;
+``reference_is_member`` is the old body of ``is_member``.
+``reference_greedy_minima_oracle`` and ``reference_graph_decomposition_oracle``
+are the two oracles as they were before, so the differential tests can
+require equal results from the integer ones; the graph oracle assembles its
+output with the frozen ``_canonicalize`` of ``reference_decompose``.
 """
 
 from __future__ import annotations
@@ -21,14 +23,22 @@ from latkit.core import (
     Vector,
     as_vector,
     canonical_basis,
-    inner_product,
-    is_zero_vector,
     norm_sq,
 )
-from latkit.decompose import Decomposition, _canonicalize
+from latkit.decompose import Decomposition
 from latkit.minima import MinimaResult
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+
+
+def is_zero_vector(v: Vector) -> bool:
+    return all(c == 0 for c in v)
+
+
+def inner_product(u: Vector, v: Vector) -> Fraction:
+    if len(u) != len(v):
+        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def gram_matrix(vectors: Sequence[Vector]) -> Matrix:
@@ -147,6 +157,10 @@ def reference_graph_decomposition_oracle(s: GeneratingSet) -> Decomposition:
     are the length-indecomposable vectors of S and whose edges join
     non-orthogonal pairs; each vertex class generates one summand, whose
     basis is the Hermite normal form of the class."""
+    # The frozen _canonicalize; imported here, as reference_decompose
+    # imports this module's inner_product.
+    from reference_decompose import _canonicalize
+
     if not s.vectors:
         raise ValueError("generating set is empty")
     if not s.complete:

@@ -19,15 +19,13 @@ from latkit.core import (
     LatticeBasis,
     Vector,
     as_vector,
-    inner_product,
     integerize,
-    is_zero_vector,
     volume_sq,
 )
 from latkit.incremental import InsertionRecord
 from latkit.reduction import DEFAULT_PARAMS
 
-from reference_linalg import reference_is_member
+from reference_linalg import inner_product, is_zero_vector, reference_is_member
 
 
 def _dot(u, v) -> Fraction:

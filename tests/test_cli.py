@@ -181,6 +181,39 @@ class TestBasisCommand:
         value = float(out.split("# bound_value: ")[1].split()[0])
         assert value == pytest.approx(1 + 400 * math.log2(10))
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-to-str digit limit")
+    def test_values_past_the_digit_limit_print_in_full(self, tmp_path,
+                                                       capsys):
+        # A 4300-digit entry parses, at str(int)'s limit; the squared volume
+        # has 8600 digits and the minimum 4400, and both print in full.
+        big = 10**4300 - 1
+        limit = sys.get_int_max_str_digits()
+        for args, content, want in [
+                (["basis", "FILE"], f"2 2\n{big} 1\n0 2\n",
+                 ("# volume_sq: ", 4 * big**2)),
+                (["basis", "FILE", "--verify", "--trace"],
+                 f"2 2\n{big} 1\n0 2\n", ("# volume_sq: ", 4 * big**2)),
+                (["minima", "FILE", "--bound", str(10**2200), "--verify"],
+                 f"1 1\n{10**2200}\n", ("# minima_sq: ", 10**4400)),
+                (["decompose", "FILE", "--bound", str(10**2200),
+                  "--verify"], f"1 1\n{10**2200}\n", None)]:
+            assert run_cli(args, tmp_path, content) == EXIT_OK
+            out = capsys.readouterr().out
+            assert sys.get_int_max_str_digits() == limit
+            if want:
+                prefix, value = want
+                printed = next(line for line in out.splitlines()
+                               if line.startswith(prefix))[len(prefix):]
+                sys.set_int_max_str_digits(0)
+                try:
+                    assert F(printed) == value
+                finally:
+                    sys.set_int_max_str_digits(limit)
+        # The parser still rejects what int() rejects.
+        assert run_cli(["basis", "FILE"], tmp_path,
+                       f"1 1\n{'9' * 5000}\n") == EXIT_PARSE
+
     def test_output_is_reparseable(self, tmp_path, capsys):
         run_cli(["basis", "FILE"], tmp_path, Z2_REDUNDANT)
         out = capsys.readouterr().out

@@ -10,7 +10,6 @@ from latkit import (
     LatticeBasis,
     canonical_basis,
     enumerate_up_to,
-    inner_product,
     is_member,
     lattice_equal,
     norm_sq,
@@ -22,7 +21,7 @@ from latkit.core import as_vector, integerize
 from latkit.enumeration import EnumerationRequest
 
 from reference_hnf import reference_canonical_basis, reference_hnf
-from reference_linalg import gram_matrix, solve_in_span
+from reference_linalg import gram_matrix, inner_product, solve_in_span
 
 
 def laplace_det(m) -> F:
@@ -36,6 +35,8 @@ def laplace_det(m) -> F:
 
 
 class TestInnerProduct:
+    """The ``Fraction`` dot product of the frozen references."""
+
     def test_orthogonal_units(self):
         assert inner_product(as_vector((1, 0)), as_vector((0, 1))) == 0
 

@@ -15,7 +15,6 @@ from latkit import (
     mlll,
     norm_sq,
     orthogonal_decomposition,
-    projection_nonzero,
     volume_sq,
 )
 from latkit.enumeration import EnumerationRequest
@@ -38,20 +37,6 @@ def zd4_basis():
     rows = [(1, 0, 0, 0, 0)]
     rows += [(0,) + tuple(v) for v in d4_basis().vectors]
     return LatticeBasis(rows)
-
-
-class TestProjectionNonzero:
-    def test_orthogonal(self):
-        c = LatticeBasis([(1, 0)])
-        assert not projection_nonzero(c, (0, 1))
-
-    def test_oblique(self):
-        c = LatticeBasis([(1, 0)])
-        assert projection_nonzero(c, (1, 1))
-
-    def test_rank_two_span(self):
-        c = LatticeBasis([(1, 1), (1, -1)])
-        assert projection_nonzero(c, (2, 0))
 
 
 class TestLengthDecomposable:

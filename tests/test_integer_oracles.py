@@ -1,9 +1,12 @@
-"""Differential tests of the integer ``--verify`` oracles and ``is_member``.
+"""Differential tests of the integer ``--verify`` oracles, ``is_member`` and
+the decomposition merge.
 
 The greedy rank scan, the graph components and the membership test run on
 the integer Hermite normal form and integer dot products; each must give
 exactly the answer of the rational elimination it replaced, frozen in
-``reference_linalg``.
+``reference_linalg``.  The merge scan runs on the set's integer rows and
+must give exactly the decomposition of the ``Fraction`` merge frozen in
+``reference_decompose``.
 """
 
 from fractions import Fraction as F
@@ -18,10 +21,12 @@ from latkit import (
     graph_decomposition_oracle,
     greedy_minima_oracle,
     is_member,
+    orthogonal_decomposition,
 )
 from latkit.enumeration import EnumerationRequest
 
 from conftest import scrambled_block_lattices
+from reference_decompose import reference_orthogonal_decomposition
 from reference_linalg import (
     rank_of,
     reference_graph_decomposition_oracle,
@@ -64,6 +69,18 @@ def test_graph_oracle_equals_frozen_reference(case, c, t):
     assume(s.vectors)
     assert graph_decomposition_oracle(s) == \
         reference_graph_decomposition_oracle(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scrambled_block_lattices(), SCALES, BOUND_FACTORS)
+@example(JOINS_TWO, F(1), F(1))
+@example(JOINS_TWO, F(1, 2), F(1))
+def test_decomposition_equals_frozen_merge(case, c, t):
+    s = _block_set(case, c, t)
+    assume(s.vectors)
+    # Equal component vectors, in the same order, and equal indices.
+    assert orthogonal_decomposition(s, check_invariants=True) == \
+        reference_orthogonal_decomposition(s, check_invariants=True)
 
 
 ENTRIES = st.sampled_from([F(0), F(1), F(-1), F(2), F(-3), F(1, 2),
