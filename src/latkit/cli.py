@@ -257,25 +257,30 @@ def cmd_basis(args) -> int:
     return EXIT_OK
 
 
-def _input_basis(args) -> tuple[str, int, LatticeBasis]:
-    """The input file as a basis, for ``minima`` and ``decompose``."""
+def _input_lattice(args) -> tuple[str, int, list[tuple], IncrementalLattice]:
+    """The input file of ``minima`` and ``decompose``: its text, dimension
+    and rows, and the engine holding their reduced basis.  The rows must be
+    a basis: no more of them than the dimension (checked first), and as
+    many as the engine's rank."""
     text = _read_input(args.file)
-    d, _, rows = parse_lattice_file(text)
-    try:
-        return text, d, LatticeBasis(rows)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    d, m, rows = parse_lattice_file(text)
+    if m > d:
+        raise UsageError("more basis vectors than the dimension")
+    lat = IncrementalLattice.from_generators(rows)
+    if lat.rank < m:
+        raise UsageError("basis vectors are linearly dependent")
+    return text, d, rows, lat
 
 
 def cmd_minima(args) -> int:
     bound_sq = _bound_sq(args)
     _at_least("--cap", [args.cap], 0)
-    text, d, basis = _input_basis(args)
-    s = enumerate_up_to(EnumerationRequest(basis, bound_sq, args.cap))
+    text, d, rows, lat = _input_lattice(args)
+    s = enumerate_up_to(EnumerationRequest(lat, bound_sq, args.cap))
     if not s.vectors:
         print("error: bound below first minimum", file=sys.stderr)
         return EXIT_BOUND
-    result = successive_minima(s, expected_rank=basis.rank)
+    result = successive_minima(s, expected_rank=lat.rank)
     lines = [
         f"# command: minima",
         f"# input: {_digest(text)}",
@@ -290,7 +295,9 @@ def cmd_minima(args) -> int:
         oracle = greedy_minima_oracle(s)
         ok = oracle.minima_sq == result.minima_sq
         if ok and not result.partial:
-            ok = minkowski_check(basis, result)
+            # The volume comes from the Bareiss check of LatticeBasis,
+            # never from the engine the minima were found on.
+            ok = minkowski_check(LatticeBasis(rows), result)
         if not ok:
             print("verification failed: oracle or Minkowski check",
                   file=sys.stderr)
@@ -302,18 +309,18 @@ def cmd_decompose(args) -> int:
     params = _params(args)
     bound_sq = _bound_sq(args)
     _at_least("--cap", [args.cap], 0)
-    text, d, basis = _input_basis(args)
-    s = enumerate_up_to(EnumerationRequest(basis, bound_sq, args.cap))
+    text, d, _, lat = _input_lattice(args)
+    s = enumerate_up_to(EnumerationRequest(lat, bound_sq, args.cap))
     decomp = orthogonal_decomposition(s, params) if s.vectors else None
     # s lies in L and the components are pairwise orthogonal: s generates L
     # iff their ranks sum to L's and their squared volumes multiply to L's.
     comps = decomp.components if decomp else ()
-    if not comps or sum(c.rank for c in comps) != basis.rank or \
-            math.prod(c.volume_sq for c in comps) != basis.volume_sq:
+    if not comps or sum(c.rank for c in comps) != lat.rank or \
+            math.prod(c.volume_sq for c in comps) != lat.volume_sq:
         got = len({v for v in s.vectors})
         print(
             f"error: insufficient bound: the {got} enumerated vectors do "
-            f"not generate the full rank-{basis.rank} lattice",
+            f"not generate the full rank-{lat.rank} lattice",
             file=sys.stderr)
         return EXIT_BOUND
     lines = [

@@ -3,11 +3,19 @@ squared norm up to a bound.
 
 The enumerator is Fincke-Pohst recursive coordinate bounding on the
 LLL-reduced basis built by the integral MLLL engine of ``latkit.reduction``
-(reduce first, then enumerate, as Fincke and Pohst do).  The engine holds
-that basis's Gram-Schmidt form as integers (the Gram determinants ``d_i`` and
-``lambda_ij``), so every coordinate range is one integer square root and no
-boundary vector can be lost to rounding.  Its independent check, a naive
-coefficient-box scan over the given basis, is test code
+(reduce first, then enumerate, as Fincke and Pohst do).  A caller that
+already holds the engine passes it in, and the basis is not reduced again.
+The engine holds that basis's Gram-Schmidt form as integers (the Gram
+determinants ``d_i`` and ``lambda_ij``), so every coordinate range is one
+integer square root and no boundary vector can be lost to rounding.
+
+Each piece of work is done once.  While every higher coefficient is zero,
+``x`` and ``-x`` at a level lead to vectors ``v`` and ``-v``, so the search
+takes ``x >= 0`` there (``x > 0`` at level 0) and emits each vector found
+with its negation.  The row ``sum_{j>=i} x_j b_j`` runs down the recursion
+and steps by ``b_i`` as ``x_i`` advances, so a leaf costs one row addition.
+Its independent check, a naive coefficient-box scan over the given basis,
+and the enumerator as it ran before are test code
 (``tests/reference_enumeration.py``).
 """
 
@@ -16,15 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, neg
 
-from .core import GeneratingSet, LatticeBasis, norm_sq
-from .reduction import (
-    DEFAULT_PARAMS,
-    IncrementalLattice,
-    ReductionParams,
-    mlll,
-)
+from .core import GeneratingSet, LatticeBasis, _idot, norm_sq
+from .reduction import DEFAULT_PARAMS, IncrementalLattice, ReductionParams
 
 DEFAULT_CAP = 10**6
 
@@ -39,7 +42,11 @@ class EnumerationCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class EnumerationRequest:
-    basis: LatticeBasis
+    """The lattice to search, as a ``LatticeBasis`` or as an engine that
+    already holds its reduced basis (``IncrementalLattice``), and the
+    squared norm bound; at most ``cap`` vectors may be found."""
+
+    basis: LatticeBasis | IncrementalLattice
     bound_sq: Fraction
     cap: int = DEFAULT_CAP
 
@@ -58,14 +65,18 @@ def enumerate_up_to(req: EnumerationRequest) -> GeneratingSet:
     sorted by squared norm, then lexicographically; raises
     EnumerationCapExceeded rather than ever returning a truncated, silently
     incomplete set.  Neither the output nor the cap behaviour depends on the
-    basis presented.  The search stays in the engine's integers up to the
-    output: each vector found is kept as its integer row over the engine's
-    ``scale``, and ``GeneratingSet.from_rows`` checks, sorts and converts
-    them.
+    basis presented.  A ``LatticeBasis`` is reduced first; an engine is
+    searched as it stands.  The search stays in the engine's integers up to
+    the output: each vector found is kept as its integer row over the
+    engine's ``scale``, and ``GeneratingSet.from_rows`` checks, sorts and
+    converts them.
     """
-    lat = IncrementalLattice.from_generators(req.basis.vectors)
+    lat = req.basis
+    if not isinstance(lat, IncrementalLattice):
+        lat = IncrementalLattice.from_generators(lat.vectors)
     rows, d, lam, scale = lat.rows, lat.d, lat.lam, lat.scale
     n = lat.rank
+    cap = req.cap
     # With |b*_i|^2 = d_{i+1} / (d_i scale^2) and mu_ji = lam_ji / d_{i+1},
     # scale^2 |sum_i x_i b_i|^2 = sum_i u_i^2 / (d_i d_{i+1}), where
     # u_i = d_{i+1} x_i + sum_{j>i} lam_ji x_j.  Times lcm = lcm(d_i d_{i+1})
@@ -74,28 +85,36 @@ def enumerate_up_to(req: EnumerationRequest) -> GeneratingSet:
     lcm = math.lcm(*dd)
     w = [lcm // x for x in dd]
     top = req.bound_sq * scale * scale * lcm
-    cols = list(zip(*rows))
     coeffs = [0] * n
     out: list[tuple[int, ...]] = []     # vectors times scale
 
-    def recurse(i: int, budget: int) -> None:
-        # budget = floor(lcm scale^2 bound_sq) - (terms of levels > i)
-        di1, wi = d[i + 1], w[i]
+    def recurse(i: int, budget: int, above: tuple[int, ...],
+                first: bool) -> None:
+        # budget = floor(lcm scale^2 bound_sq) - (terms of levels > i);
+        # above = sum_{j>i} x_j b_j; first: every x_j above i is zero, so
+        # x and -x give v and -v, and only x >= 0 is searched (x > 0 at
+        # level 0, where x = 0 would give the zero vector).
+        di1, wi, b = d[i + 1], w[i], rows[i]
         s = sum(lam[j][i] * coeffs[j] for j in range(i + 1, n))
         r = math.isqrt(budget // wi)     # |u_i| <= r
-        for x in range(-((r + s) // di1), (r - s) // di1 + 1):
-            coeffs[i] = x
+        lo = (0 if i else 1) if first else -((r + s) // di1)
+        v = tuple(a + lo * c for a, c in zip(above, b)) if lo else above
+        for x in range(lo, (r - s) // di1 + 1):
             if i:
+                coeffs[i] = x
                 u = di1 * x + s
-                recurse(i - 1, budget - u * u * wi)
-            elif any(coeffs):
-                if len(out) >= req.cap:
-                    raise EnumerationCapExceeded(req.cap)
-                out.append(tuple(sum(map(mul, coeffs, col))
-                                 for col in cols))
+                recurse(i - 1, budget - u * u * wi, v, first and not x)
+            else:
+                # The count grows in pairs and so stays even: this raises
+                # exactly when the total passes the cap.
+                if len(out) + 2 > cap:
+                    raise EnumerationCapExceeded(cap)
+                out.append(v)
+                out.append(tuple(map(neg, v)))
+            v = tuple(map(add, v, b))
         coeffs[i] = 0
 
-    recurse(n - 1, top.numerator // top.denominator)
+    recurse(n - 1, top.numerator // top.denominator, (0,) * lat.dim, True)
     return GeneratingSet.from_rows(out, scale, req.bound_sq, complete=True)
 
 
@@ -104,12 +123,13 @@ def first_minimum_sq(basis: LatticeBasis,
                      cap: int = DEFAULT_CAP) -> Fraction:
     """Squared first minimum lambda_1^2 of the lattice.
 
-    Reduces the basis, then enumerates up to the shortest reduced basis
-    vector; that ball is guaranteed to contain a shortest lattice vector.
+    Reduces the basis once, then enumerates on that reduction up to its
+    shortest basis vector; that ball is guaranteed to contain a shortest
+    lattice vector.
     """
     if basis.rank < 1:
         raise ValueError("lattice of rank zero has no first minimum")
-    reduced = mlll(basis.vectors, params)
-    bound = min(norm_sq(v) for v in reduced.vectors)
-    found = enumerate_up_to(EnumerationRequest(reduced, bound, cap))
+    lat = IncrementalLattice.from_generators(basis.vectors, params)
+    bound = Fraction(min(_idot(r, r) for r in lat.rows), lat.scale ** 2)
+    found = enumerate_up_to(EnumerationRequest(lat, bound, cap))
     return norm_sq(found.vectors[0])

@@ -32,6 +32,7 @@ from latkit.cli import (
     parse_lattice_file,
     render_lattice,
 )
+from latkit.reduction import IncrementalLattice
 
 
 def run_cli(args, tmp_path, content=None, capsys=None):
@@ -288,6 +289,25 @@ class TestExitCodes:
                        tmp_path, "1 1\n5\n")
         self._check(code, EXIT_PARSE, capsys)
 
+    @pytest.mark.parametrize("command", ["minima", "decompose"])
+    @pytest.mark.parametrize("content, message", [
+        ("2 2\n2 2\n1 1\n", "basis vectors are linearly dependent"),
+        ("2 2\n1 1\n0 0\n", "basis vectors are linearly dependent"),
+        ("2 2\n0 0\n0 0\n", "basis vectors are linearly dependent"),
+        ("2 3\n1 0\n0 1\n1 1\n", "more basis vectors than the dimension"),
+        ("2 3\n1 1\n2 2\n3 3\n", "more basis vectors than the dimension"),
+        ("1 2\n0\n0\n", "more basis vectors than the dimension"),
+    ], ids=["dependent", "zero-row", "all-zero", "too-many",
+            "too-many-dependent", "too-many-zero"])
+    def test_input_not_a_basis(self, command, content, message, tmp_path,
+                               capsys):
+        code = run_cli([command, "FILE", "--bound-sq", "4"], tmp_path,
+                       content)
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_trace_cap_exceeded(self, tmp_path, capsys):
         code = run_cli(["basis", "FILE", "--trace", "--cap", "1"],
                        tmp_path, Z2_REDUNDANT)
@@ -367,6 +387,17 @@ class TestMinimaCommand:
         code = run_cli(["minima", "FILE", "--bound-sq", "4", "--cap", "3"],
                        tmp_path, DIAG)
         assert code == EXIT_CAP
+
+    def test_verify_keeps_the_volume_off_the_engine(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # The Minkowski check must take the squared volume from the input's
+        # Bareiss determinant: an engine that misreports it changes nothing.
+        monkeypatch.setattr(IncrementalLattice, "volume_sq",
+                            property(lambda self: F(10**9)))
+        code = run_cli(["minima", "FILE", "--bound-sq", "4", "--verify"],
+                       tmp_path, DIAG)
+        assert code == EXIT_OK
+        assert "# minima_sq: 1 4" in capsys.readouterr().out
 
     def test_verify_huge_entry(self, tmp_path, capsys):
         entry = 10**300     # 301 digits: far beyond the float range squared

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latkit import (
     EnumerationCapExceeded,
@@ -11,9 +14,11 @@ from latkit import (
     is_member,
     norm_sq,
 )
+from latkit.reduction import IncrementalLattice
 
 from conftest import d4_basis, random_reduced_basis
-from reference_enumeration import box_oracle
+from reference_enumeration import box_oracle, reference_enumerate_up_to
+from reference_mlll import reference_mlll
 
 
 class TestEnumerateUpTo:
@@ -71,6 +76,88 @@ class TestEnumerateUpTo:
             EnumerationRequest(LatticeBasis((), dim=2), 1)
 
 
+class TestEngineInput:
+    def test_engine_is_not_reduced_again(self, monkeypatch):
+        lat = IncrementalLattice.from_generators([(5, 7), (4, 6)])
+        rows, d, lam = list(lat.rows), lat.d[:], [l[:] for l in lat.lam]
+
+        def no_reduction(*args, **kwargs):
+            raise AssertionError("the engine was reduced again")
+
+        monkeypatch.setattr(IncrementalLattice, "from_generators",
+                            no_reduction)
+        s = enumerate_up_to(EnumerationRequest(lat, 2))
+        assert set(s.vectors) == {(1, 1), (-1, -1), (1, -1), (-1, 1)}
+        assert (lat.rows, lat.d, lat.lam) == (rows, d, lam)
+
+    def test_engine_and_basis_give_the_same_set(self):
+        rows = [(F(1, 2), 3, 0), (0, F(2, 3), 1), (1, 1, 1)]
+        for bound_sq in (1, F(13, 4), 10):
+            via_basis = enumerate_up_to(
+                EnumerationRequest(LatticeBasis(rows), bound_sq))
+            via_engine = enumerate_up_to(EnumerationRequest(
+                IncrementalLattice.from_generators(rows), bound_sq))
+            assert via_engine == via_basis
+            assert via_engine.rows == via_basis.rows
+            assert via_engine.scale == via_basis.scale == 6
+
+    def test_rejects_empty_engine(self):
+        with pytest.raises(ValueError):
+            EnumerationRequest(IncrementalLattice(2), 1)
+
+
+@st.composite
+def small_bases(draw):
+    """A basis of rank 1 to 4 in dimension rank to rank + 1, with entries
+    of at most 3 in absolute value over a denominator of 1, 2, 3 or 6 per
+    entry (so the common scale may exceed 1), the same basis reduced by the
+    frozen rational MLLL, and a squared norm bound from a quarter to three
+    times the largest squared norm of a reduced basis vector; ``None`` for
+    dependent rows."""
+    n = draw(st.integers(1, 4))
+    dim = draw(st.integers(n, n + 1))
+    entry = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3, 6]))
+    rows = draw(st.lists(st.tuples(*[entry] * dim), min_size=n, max_size=n))
+    try:
+        basis = LatticeBasis(rows)
+    except ValueError:
+        return None
+    reduced = reference_mlll(rows)
+    top = max(norm_sq(v) for v in reduced.vectors)
+    return basis, reduced, draw(st.integers(1, 12)) * top / 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_bases(), st.booleans())
+def test_matches_frozen_enumerator_and_box_oracle(case, on_engine):
+    """The enumerator returns exactly the set, rows and scale of the frozen
+    enumerator it replaced, and the vectors of the box scan (run on a basis
+    reduced by the frozen rational MLLL, never by the engine); handed an
+    engine instead of a basis, it gives the same.  For a cap just below,
+    at and just above the total count, it raises exactly when the total
+    passes the cap."""
+    assume(case is not None)
+    basis, reduced, bound_sq = case
+    want = reference_enumerate_up_to(EnumerationRequest(basis, bound_sq))
+    box = box_oracle(EnumerationRequest(reduced, bound_sq))
+    assert want.vectors == box.vectors
+    given_basis = IncrementalLattice.from_generators(basis.vectors) \
+        if on_engine else basis
+    total = len(want.vectors)
+    for cap in (total - 1, total, total + 1):
+        if cap < 0:
+            continue
+        req = EnumerationRequest(given_basis, bound_sq, cap)
+        if total > cap:
+            with pytest.raises(EnumerationCapExceeded):
+                enumerate_up_to(req)
+            continue
+        got = enumerate_up_to(req)
+        assert got == want
+        assert got.rows == want.rows
+        assert got.scale == want.scale
+
+
 class TestBoxOracle:
     def test_z1(self):
         s = box_oracle(EnumerationRequest(LatticeBasis([(1,)]), 9))
@@ -112,3 +199,20 @@ class TestFirstMinimum:
         # index-2 sublattice of Z^2 given by long vectors; shortest is (1,1)
         basis = LatticeBasis([(5, 7), (4, 6)])
         assert first_minimum_sq(basis) == 2
+
+    def test_rational_basis(self):
+        basis = LatticeBasis([(F(1, 2), F(1, 3)), (3, 1)])
+        assert first_minimum_sq(basis) == F(13, 36)
+
+    def test_reduces_once(self, monkeypatch):
+        calls = []
+        original = IncrementalLattice.from_generators.__func__
+
+        def counted(cls, *args, **kwargs):
+            calls.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(IncrementalLattice, "from_generators",
+                            classmethod(counted))
+        assert first_minimum_sq(LatticeBasis([(5, 7), (4, 6)])) == 2
+        assert len(calls) == 1
