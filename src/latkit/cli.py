@@ -77,10 +77,9 @@ class UsageError(Exception):
     """An option value or input file the command cannot use (exit 2)."""
 
 
-def format_scalar(x: Fraction) -> str:
+def format_scalar(x) -> str:
     try:
-        return str(x.numerator) if x.denominator == 1 else \
-            f"{x.numerator}/{x.denominator}"
+        return str(x)
     except ValueError:
         # An integer past the interpreter's int-to-str digit limit (4300
         # digits by default): print it in full, with the limit lifted for
@@ -88,13 +87,16 @@ def format_scalar(x: Fraction) -> str:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            return format_scalar(x)
+            return str(x)
         finally:
             sys.set_int_max_str_digits(limit)
 
 
-def format_vector(v: Vector) -> str:
-    return " ".join(format_scalar(c) for c in v)
+def format_vector(v: Sequence, scale: int = 1) -> str:
+    """The entries of ``v / scale``, for an integer row over ``scale``."""
+    if scale != 1:
+        v = [Fraction(c, scale) for c in v]
+    return " ".join(map(format_scalar, v))
 
 
 def _literal(token: str):
@@ -230,8 +232,9 @@ def cmd_basis(args) -> int:
         f"# input: {_digest(text)}",
         f"# rank: {basis.rank}",
         f"# volume_sq: {format_scalar(volume_sq(basis))}",
+        f"{d} {basis.rank}",
     ]
-    lines += render_lattice(basis.vectors, d)
+    lines += (format_vector(r, basis.scale) for r in basis.rows)
     if args.trace:
         for rec in trace.insertions:
             kind = "update" if rec.was_update else "member"
@@ -317,7 +320,7 @@ def cmd_decompose(args) -> int:
     comps = decomp.components if decomp else ()
     if not comps or sum(c.rank for c in comps) != lat.rank or \
             math.prod(c.volume_sq for c in comps) != lat.volume_sq:
-        got = len({v for v in s.vectors})
+        got = len(set(s.rows))
         print(
             f"error: insufficient bound: the {got} enumerated vectors do "
             f"not generate the full rank-{lat.rank} lattice",
@@ -332,7 +335,7 @@ def cmd_decompose(args) -> int:
     lines.append(f"{d} {len(decomp.grouped_basis)}")
     for j, comp in enumerate(decomp.components, start=1):
         lines.append(f"# component {j} rank {comp.rank}")
-        lines.extend(format_vector(v) for v in comp.vectors)
+        lines.extend(format_vector(r, comp.scale) for r in comp.rows)
     print("\n".join(lines))
     if args.verify:
         oracle = graph_decomposition_oracle(s)
@@ -345,13 +348,13 @@ def cmd_decompose(args) -> int:
 
 
 def random_instance(rng: random.Random, d: int, m: int, entry_range: int,
-                    duplicates: bool) -> list[Vector]:
+                    duplicates: bool) -> list[tuple[int, ...]]:
     """Random generator family; 'duplicates' draws all m vectors from a
     small pool so most insertions are localization-only."""
 
-    def row() -> Vector:
+    def row() -> tuple[int, ...]:
         while True:
-            v = tuple(Fraction(rng.randint(-entry_range, entry_range))
+            v = tuple(rng.randint(-entry_range, entry_range)
                       for _ in range(d))
             if any(v):
                 return v

@@ -1,15 +1,15 @@
 """Exact rational linear algebra kernel for lattice computations.
 
-Vectors are tuples of ``fractions.Fraction``; every operation here is exact.
-Vectors handed in may hold ``int`` entries as well, as the lattice-file
-parser returns them for integer literals.  Norms and volumes are carried as
-squared quantities so all comparisons stay rational.  Where a whole family
-of vectors is processed at once (the independence check of
-``LatticeBasis``, the norm order of ``GeneratingSet``, the Hermite normal
-form behind lattice equality and membership) it is first rescaled to
-integer rows over one common denominator (``integerize``, which reads
-``int`` and ``Fraction`` entries as they are), and the arithmetic runs on
-those integers.
+A family of rational vectors is carried as integer rows over one positive
+common denominator, its ``scale``: ``integerize`` is the one normalizer of
+vectors handed in (``int`` and ``Fraction`` entries, or anything
+``Fraction()`` accepts), and ``LatticeBasis`` and ``GeneratingSet`` keep
+those rows.  ``Fraction`` vectors are formed only where the API hands
+vectors out (their ``vectors`` and ``canonical_basis``).  Norms and volumes
+are carried as squared quantities, so every comparison stays rational; the
+independence check of ``LatticeBasis``, the norm order of ``GeneratingSet``
+and the Hermite normal form behind lattice equality and membership all run
+on the integer rows.
 """
 
 from __future__ import annotations
@@ -21,12 +21,6 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
-
-
-def as_vector(coords: Iterable) -> Vector:
-    """Coordinates as a tuple of Fractions; entries that already are
-    Fractions (immutable) are kept as they are, not copied."""
-    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
 def norm_sq(v: Vector) -> Fraction:
@@ -66,45 +60,50 @@ class LatticeBasis:
     Gram determinant), computed once: by the independence check, or by the
     MLLL engine that hands its output to ``_trusted``.
 
-    The check runs in integers: the vectors are rescaled by the lcm ``s`` of
-    their denominators, the Gram determinant ``D`` of the integer rows is
-    taken fraction-free, and ``volume_sq = D / s^(2n)``."""
+    The vectors are kept as integer rows over a positive common denominator:
+    ``rows`` is a tuple of int tuples and ``vectors[i] == rows[i] / scale``,
+    formed as ``Fraction``s on each access.  The check runs on the rows
+    (``integerize`` of the input): the Gram determinant ``D`` of the rows is
+    taken fraction-free, and ``volume_sq = D / scale^(2n)``."""
 
-    __slots__ = ("vectors", "volume_sq", "dim")
+    __slots__ = ("rows", "scale", "volume_sq", "dim")
 
     def __init__(self, vectors: Iterable, dim: Optional[int] = None):
-        vs = tuple(as_vector(v) for v in vectors)
-        if vs:
-            d = len(vs[0])
-            if any(len(v) != d for v in vs):
-                raise ValueError("basis vectors have mixed dimensions")
-            if dim is not None and dim != d:
+        rows, scale = integerize(vectors)
+        if rows:
+            if dim is not None and dim != len(rows[0]):
                 raise ValueError("dim does not match vector length")
-            dim = d
-            if len(vs) > d:
+            dim = len(rows[0])
+            if len(rows) > dim:
                 raise ValueError("more basis vectors than the dimension")
-        ints, scale = integerize(vs)
-        det = _det_bareiss_int([[_idot(u, v) for v in ints] for u in ints])
+        det = _det_bareiss_int([[_idot(u, v) for v in rows] for u in rows])
         if det == 0:
             raise ValueError("basis vectors are linearly dependent")
-        self.vectors = vs
+        self.rows = tuple(map(tuple, rows))
+        self.scale = scale
         self.dim = dim if dim is not None else 0
-        self.volume_sq = Fraction(det, scale ** (2 * len(vs)))
+        self.volume_sq = Fraction(det, scale ** (2 * len(rows)))
 
     @classmethod
-    def _trusted(cls, vectors: tuple[Vector, ...], volume_sq: Fraction,
-                 dim: int) -> "LatticeBasis":
-        """A basis from vectors that are independent by construction (the
-        output of a reduction), with its squared volume; skips the check."""
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...], scale: int,
+                 volume_sq: Fraction, dim: int) -> "LatticeBasis":
+        """A basis from integer rows over ``scale``, independent by
+        construction (the output of a reduction); skips the check."""
         basis = object.__new__(cls)
-        basis.vectors = vectors
+        basis.rows = rows
+        basis.scale = scale
         basis.volume_sq = volume_sq
         basis.dim = dim
         return basis
 
     @property
+    def vectors(self) -> tuple[Vector, ...]:
+        s = self.scale
+        return tuple(tuple(Fraction(c, s) for c in r) for r in self.rows)
+
+    @property
     def rank(self) -> int:
-        return len(self.vectors)
+        return len(self.rows)
 
     def __repr__(self):
         return f"LatticeBasis({list(self.vectors)!r})"
@@ -230,9 +229,11 @@ def integerize(vectors: Iterable) -> tuple[list[list[int]], int]:
 
     ``int`` and ``Fraction`` entries are read as they are, anything else
     through ``Fraction(c)``; at a common denominator of 1 the rows are the
-    numerators."""
+    numerators.  Vectors of different lengths raise ``ValueError``."""
     vs = [[c if type(c) is int or type(c) is Fraction else Fraction(c)
            for c in v] for v in vectors]
+    if len({len(v) for v in vs}) > 1:
+        raise ValueError("vectors have mixed dimensions")
     scale = math.lcm(*{c.denominator for v in vs for c in v})
     if scale == 1:
         return [[c.numerator for c in v] for v in vs], 1
@@ -240,9 +241,9 @@ def integerize(vectors: Iterable) -> tuple[list[list[int]], int]:
             for v in vs], scale
 
 
-def _column_hnf(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    """Column-style HNF of a nonempty list of integer rows of one length."""
-    red = _row_hnf([r[::-1] for r in rows], len(rows[0]))
+def _column_hnf(rows: Sequence) -> tuple[tuple[int, ...], ...]:
+    """Column-style HNF of integer rows of one length."""
+    red = _row_hnf([r[::-1] for r in rows], len(rows[0]) if rows else 0)
     return tuple(tuple(reversed(r)) for r in reversed(red))
 
 
@@ -254,34 +255,29 @@ def canonical_basis(vectors: Sequence) -> tuple[Vector, ...]:
     chosen scale.
     """
     ints, scale = integerize(vectors)
-    if not ints:
-        return ()
     return tuple(tuple(Fraction(c, scale) for c in row)
                  for row in _column_hnf(ints))
 
 
-def _vectors_of(obj) -> tuple[Vector, ...]:
-    if isinstance(obj, (LatticeBasis, GeneratingSet)):
-        return obj.vectors
-    return tuple(as_vector(v) for v in obj)
-
-
 def lattice_equal(a, b) -> bool:
-    """Whether two bases / generator sets generate the same lattice."""
-    va, vb = _vectors_of(a), _vectors_of(b)
-    if va and vb and len(va[0]) != len(vb[0]):
+    """Whether two bases / generator sets generate the same lattice: as
+    hnf(s*L) = s*hnf(L), iff the HNFs of their integer rows agree once each
+    is multiplied by the other side's scale."""
+    (ra, sa), (rb, sb) = (
+        (x.rows, x.scale) if isinstance(x, (LatticeBasis, GeneratingSet))
+        else integerize(x) for x in (a, b))
+    if ra and rb and len(ra[0]) != len(rb[0]):
         raise ValueError("ambient dimensions differ")
-    return canonical_basis(va) == canonical_basis(vb)
+    return [[sb * c for c in r] for r in _column_hnf(ra)] == \
+        [[sa * c for c in r] for r in _column_hnf(rb)]
 
 
-def is_member(basis: LatticeBasis, v) -> bool:
+def is_member(basis: LatticeBasis, v: Sequence) -> bool:
     """Lattice membership: v lies in the lattice iff adding it leaves the
-    canonical basis unchanged."""
-    v = as_vector(v)
+    lattice unchanged."""
     if basis.rank and len(v) != basis.dim:
         raise ValueError("dimension mismatch")
-    return canonical_basis(basis.vectors + (v,)) == \
-        canonical_basis(basis.vectors)
+    return lattice_equal(basis, (*basis.vectors, v))
 
 
 def volume_sq(basis: LatticeBasis) -> Fraction:

@@ -12,6 +12,7 @@ normal form of its vertices (``canonical_basis``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,16 +39,14 @@ class Decomposition:
 def _canonicalize(components: Sequence[LatticeBasis]) -> Decomposition:
     """Sort components into the canonical order and assemble the output.
 
-    Each component is keyed on the Hermite normal form of its slice of one
-    integerization of all components, and the least squared norm in that
-    form.  The common scale is positive, so this orders the components as
-    the pair (least squared norm, ``canonical_basis``) of each would."""
-    ints, _ = integerize(v for c in components for v in c.vectors)
+    Each component is keyed on the Hermite normal form of its rows, rescaled
+    to the lcm of the components' scales, and the least squared norm in
+    that form.  The common scale is positive, so this orders the components
+    as the pair (least squared norm, ``canonical_basis``) of each would."""
+    lcm = math.lcm(*(c.scale for c in components))
     keyed = []
-    pos = 0
     for c in components:
-        canon = _column_hnf(ints[pos:pos + c.rank])
-        pos += c.rank
+        canon = _column_hnf([[lcm // c.scale * x for x in r] for r in c.rows])
         keyed.append(((min(_idot(r, r) for r in canon), canon), c))
     keyed.sort(key=lambda kv: kv[0])
     comps = tuple(c for _, c in keyed)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, neg
 
-from .core import GeneratingSet, LatticeBasis, _idot, norm_sq
+from .core import GeneratingSet, LatticeBasis, _idot
 from .reduction import DEFAULT_PARAMS, IncrementalLattice, ReductionParams
 
 DEFAULT_CAP = 10**6
@@ -65,15 +65,17 @@ def enumerate_up_to(req: EnumerationRequest) -> GeneratingSet:
     sorted by squared norm, then lexicographically; raises
     EnumerationCapExceeded rather than ever returning a truncated, silently
     incomplete set.  Neither the output nor the cap behaviour depends on the
-    basis presented.  A ``LatticeBasis`` is reduced first; an engine is
-    searched as it stands.  The search stays in the engine's integers up to
-    the output: each vector found is kept as its integer row over the
-    engine's ``scale``, and ``GeneratingSet.from_rows`` checks, sorts and
-    converts them.
+    basis presented.  A ``LatticeBasis`` is reduced first: its integer rows
+    as they stand, in an engine that then takes the basis's scale (the MLLL
+    loop never reads the scale); an engine is searched as it stands.  The
+    search stays in the engine's integers up to the output: each vector
+    found is kept as its integer row over the engine's ``scale``, and
+    ``GeneratingSet.from_rows`` checks, sorts and converts them.
     """
     lat = req.basis
     if not isinstance(lat, IncrementalLattice):
-        lat = IncrementalLattice.from_generators(lat.vectors)
+        lat = IncrementalLattice.from_generators(req.basis.rows)
+        lat.scale = req.basis.scale
     rows, d, lam, scale = lat.rows, lat.d, lat.lam, lat.scale
     n = lat.rank
     cap = req.cap
@@ -129,7 +131,8 @@ def first_minimum_sq(basis: LatticeBasis,
     """
     if basis.rank < 1:
         raise ValueError("lattice of rank zero has no first minimum")
-    lat = IncrementalLattice.from_generators(basis.vectors, params)
+    lat = IncrementalLattice.from_generators(basis.rows, params)
+    lat.scale = basis.scale
     bound = Fraction(min(_idot(r, r) for r in lat.rows), lat.scale ** 2)
-    found = enumerate_up_to(EnumerationRequest(lat, bound, cap))
-    return norm_sq(found.vectors[0])
+    row = enumerate_up_to(EnumerationRequest(lat, bound, cap)).rows[0]
+    return Fraction(_idot(row, row), lat.scale ** 2)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import LatticeBasis, as_vector
+from .core import LatticeBasis
 from .reduction import DEFAULT_PARAMS, IncrementalLattice, ReductionParams
 
 
@@ -94,9 +94,9 @@ def update_step_bound_value(d: int, bound_sq, lambda1_sq) -> float:
 
 def generating_subset(generators: Sequence, trace: UpdateTrace
                       ) -> tuple:
-    """The generators whose insertion was an update step.
+    """The generators whose insertion was an update step, as given.
 
     This subset regenerates the lattice; its size is ``update_count``.
     """
-    vs = [as_vector(v) for v in generators]
-    return tuple(vs[r.index] for r in trace.insertions if r.was_update)
+    return tuple(tuple(generators[r.index])
+                 for r in trace.insertions if r.was_update)

@@ -20,12 +20,7 @@ from fractions import Fraction
 from operator import neg
 from typing import Iterable, Optional, Sequence
 
-from .core import (
-    LatticeBasis,
-    _idot,
-    as_vector,
-    integerize,
-)
+from .core import LatticeBasis, _idot, integerize
 
 
 @dataclass(frozen=True)
@@ -89,10 +84,7 @@ class IncrementalLattice:
         """An empty engine at the common denominator of ``generators``, and
         their integer rows over it (zero rows included)."""
         rows, scale = integerize(generators)
-        dims = {len(r) for r in rows}
-        if len(dims) > 1:
-            raise ValueError("generators have mixed dimensions")
-        return cls(dims.pop() if dims else 0, params, scale), rows
+        return cls(len(rows[0]) if rows else 0, params, scale), rows
 
     @classmethod
     def from_generators(cls, generators: Sequence,
@@ -114,11 +106,10 @@ class IncrementalLattice:
         return Fraction(self.d[n], self.scale ** (2 * n))
 
     def basis(self) -> LatticeBasis:
-        """The current reduced basis, with ``volume_sq`` from ``d``."""
-        s = self.scale
-        vectors = tuple(tuple(Fraction(c, s) for c in row)
-                        for row in self.rows)
-        return LatticeBasis._trusted(vectors, self.volume_sq, self.dim)
+        """The current reduced basis: its rows over the engine's scale, with
+        ``volume_sq`` from ``d``."""
+        return LatticeBasis._trusted(tuple(map(tuple, self.rows)), self.scale,
+                                     self.volume_sq, self.dim)
 
     def extend(self, rows: Iterable[Sequence[int]]) -> None:
         """Batch MLLL: every nonzero row, an integer row over the engine's
@@ -314,4 +305,4 @@ def mlll(generators: Sequence, params: ReductionParams = DEFAULT_PARAMS
 def basis_union(basis: LatticeBasis, v, params: ReductionParams =
                 DEFAULT_PARAMS) -> LatticeBasis:
     """Basis of L + Zv: the update step of the incremental construction."""
-    return mlll(list(basis.vectors) + [as_vector(v)], params)
+    return mlll([*basis.vectors, v], params)

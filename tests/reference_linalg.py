@@ -21,12 +21,13 @@ from latkit.core import (
     GeneratingSet,
     LatticeBasis,
     Vector,
-    as_vector,
     canonical_basis,
     norm_sq,
 )
 from latkit.decompose import Decomposition
 from latkit.minima import MinimaResult
+
+from reference_hnf import _as_vector as as_vector
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 

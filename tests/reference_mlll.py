@@ -18,13 +18,13 @@ from typing import Sequence
 from latkit.core import (
     LatticeBasis,
     Vector,
-    as_vector,
     integerize,
     volume_sq,
 )
 from latkit.incremental import InsertionRecord
 from latkit.reduction import DEFAULT_PARAMS
 
+from reference_hnf import _as_vector as as_vector
 from reference_linalg import inner_product, is_zero_vector, reference_is_member
 
 

@@ -34,6 +34,8 @@ from latkit.cli import (
 )
 from latkit.reduction import IncrementalLattice
 
+import reference_format
+
 
 def run_cli(args, tmp_path, content=None, capsys=None):
     if content is not None:
@@ -153,6 +155,25 @@ class TestParsing:
         assert format_scalar(F(3)) == "3"
         assert format_scalar(F(-1, 2)) == "-1/2"
         assert format_vector((F(1), F(2, 3))) == "1 2/3"
+
+
+# 10**4300 + 1 has 4301 digits, one past the default int-to-str limit; 7
+# does not divide it, so over scale 7 the numerator keeps all of them.
+WIDE = 10 ** 4300 + 1
+
+
+@settings(max_examples=300, deadline=None)
+@example(row=[WIDE, -3, 0], scale=7)
+@example(row=[0, -WIDE], scale=1)
+@example(row=[3, -4, 0], scale=6)
+@given(st.lists(st.integers(-40, 40) | st.integers(-10 ** 30, 10 ** 30),
+                min_size=1, max_size=6),
+       st.integers(1, 12))
+def test_format_vector_of_rows_matches_frozen_printer(row, scale):
+    """The printer of an integer row over a scale against the frozen
+    printer of the Fraction vector row / scale."""
+    want = reference_format.format_vector(tuple(F(c, scale) for c in row))
+    assert format_vector(row, scale) == want
 
 
 class TestBasisCommand:

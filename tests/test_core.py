@@ -10,16 +10,19 @@ from latkit import (
     LatticeBasis,
     canonical_basis,
     enumerate_up_to,
+    incremental_basis,
     is_member,
     lattice_equal,
+    mlll,
     norm_sq,
     orthogonal_decomposition,
     successive_minima,
     volume_sq,
 )
-from latkit.core import as_vector, integerize
+from latkit.core import integerize
 from latkit.enumeration import EnumerationRequest
 
+from reference_hnf import _as_vector as as_vector
 from reference_hnf import reference_canonical_basis, reference_hnf
 from reference_linalg import gram_matrix, inner_product, solve_in_span
 
@@ -355,3 +358,67 @@ def test_canonical_basis_matches_frozen_reference(rows):
     assert canonical_basis(rows) == reference_canonical_basis(rows)
     ints = [tuple(c * 12 for c in r) for r in rows]     # clears denominators
     assert canonical_basis(ints) == reference_hnf(ints)
+
+
+class TestMixedDimensions:
+    """Vectors of different lengths raise one ``ValueError``, from
+    ``integerize``, wherever vectors are taken; none is dropped silently."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: canonical_basis([(2,), (0, 1)]),
+        lambda: canonical_basis([(1, 0), (1,)]),
+        lambda: lattice_equal([(1, 0), (2,)], [(1, 0), (0, 1)]),
+        lambda: lattice_equal([(1, 0)], [(F(1, 2),), (0, 1)]),
+        lambda: LatticeBasis([(1, 0), (F(1, 2),)]),
+        lambda: mlll([(1, 0, 0), (0, 1)]),
+        lambda: incremental_basis([(1, 0), (1,)]),
+        lambda: GeneratingSet([(1, 0, 0), (2,)], 10),
+    ], ids=["canonical_basis_short_first", "canonical_basis_short_last",
+            "lattice_equal_left", "lattice_equal_right", "LatticeBasis",
+            "mlll", "incremental_basis", "GeneratingSet"])
+    def test_raises(self, build):
+        with pytest.raises(ValueError,
+                           match="^vectors have mixed dimensions$"):
+            build()
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_rows(lambda d: d + 2))
+def test_basis_rows_over_scale_give_its_vectors(rows):
+    """The checked constructor and the engine's output both keep int tuples
+    over a positive scale, and ``vectors`` is their quotient."""
+    bases = [mlll(rows)]
+    checked = _outcome(lambda: LatticeBasis(rows))
+    if isinstance(checked, LatticeBasis):
+        assert checked.vectors == tuple(tuple(map(F, r)) for r in rows)
+        bases.append(checked)
+    for b in bases:
+        assert type(b.rows) is tuple and b.scale >= 1
+        assert all(type(r) is tuple and len(r) == b.dim for r in b.rows)
+        assert all(type(c) is int for r in b.rows for c in r)
+        assert b.vectors == tuple(tuple(F(c, b.scale) for c in r)
+                                  for r in b.rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_rows(lambda d: d), st.integers(1, 4))
+def test_basis_equality_hash_and_repr_are_on_vectors(rows, k):
+    """Equal vectors make equal bases whatever their presentation: int or
+    Fraction entries, or rows over a multiple of the scale."""
+    ints = [tuple(int(c * 12) for c in r) for r in rows]
+    a = _outcome(lambda: LatticeBasis(ints))
+    if not isinstance(a, LatticeBasis):
+        return
+    b = LatticeBasis([tuple(map(F, r)) for r in ints])
+    c = LatticeBasis._trusted(
+        tuple(tuple(k * x for x in r) for r in a.rows), k * a.scale,
+        a.volume_sq, a.dim)
+    for other in (b, c):
+        assert a == other and hash(a) == hash(other)
+        assert repr(a) == repr(other)
+
+
+def test_basis_repr_lists_fraction_vectors():
+    assert repr(LatticeBasis([(1, F(1, 2)), (0, 2)])) == \
+        "LatticeBasis([(Fraction(1, 1), Fraction(1, 2)), " \
+        "(Fraction(0, 1), Fraction(2, 1))])"
