@@ -15,8 +15,10 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import itertools
 import math
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -33,6 +35,7 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 from .core import (
+    GeneratingSet,
     LatticeBasis,
     Vector,
     lattice_equal,
@@ -99,6 +102,23 @@ def format_vector(v: Sequence, scale: int = 1) -> str:
     return " ".join(map(format_scalar, v))
 
 
+def _fraction(token: str) -> Fraction:
+    """``Fraction(token)``, but a decimal exponent past the int-to-str digit
+    limit in magnitude raises before ``Fraction`` raises 10 to it (seconds
+    for ``1e10000000``), as the value in digits would.  A token malformed
+    with its digits zeroed is malformed as is: ``Fraction`` reports it."""
+    m = re.search(r"[eE][-+]?([\d_]+)\s*\Z", token)
+    limit = sys.get_int_max_str_digits()
+    if m and limit:
+        try:
+            Fraction(re.sub(r"\d", "0", token))
+        except ValueError:
+            return Fraction(token)
+        if int(m[1]) > limit:
+            raise ValueError(f"decimal exponent exceeds the limit ({limit})")
+    return Fraction(token)
+
+
 def _literal(token: str):
     """The value of one rational literal: an ``int`` when the token is an
     integer literal, else a ``Fraction``, always equal to ``Fraction(token)``.
@@ -106,14 +126,14 @@ def _literal(token: str):
     ``int`` takes only ASCII tokens without ``_``: on Python 3.10
     ``int('1_000')`` is 1000 but ``Fraction('1_000')`` raises.  Every other
     token, and every token ``int`` rejects (``3/0``, ``1.5``, more digits
-    than the conversion limit), goes to ``Fraction``, which raises the
+    than the conversion limit), goes to ``_fraction``, which raises the
     error."""
     if token.isascii() and "_" not in token:
         try:
             return int(token)
         except ValueError:
             pass
-    return Fraction(token)
+    return _fraction(token)
 
 
 def parse_lattice_file(text: str) -> tuple[int, int, list[tuple]]:
@@ -128,11 +148,8 @@ def parse_lattice_file(text: str) -> tuple[int, int, list[tuple]]:
             continue
         tokens = line.split()
         if header is None:
-            if len(tokens) != 2:
-                raise LatticeFileError(
-                    line_no, "header must be two integers 'd m'")
             try:
-                d, m = int(tokens[0]), int(tokens[1])
+                d, m = map(int, tokens)
             except ValueError:
                 raise LatticeFileError(
                     line_no, "header must be two integers 'd m'")
@@ -160,9 +177,7 @@ def parse_lattice_file(text: str) -> tuple[int, int, list[tuple]]:
 
 
 def render_lattice(vectors: Sequence[Vector], dim: int) -> list[str]:
-    lines = [f"{dim} {len(vectors)}"]
-    lines.extend(format_vector(v) for v in vectors)
-    return lines
+    return [f"{dim} {len(vectors)}", *map(format_vector, vectors)]
 
 
 def _read_input(path: str) -> str:
@@ -171,10 +186,9 @@ def _read_input(path: str) -> str:
             return sys.stdin.read()
         with open(path) as fh:
             return fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror or exc}")
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"cannot read {path}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise UsageError(f"cannot read {path}: {reason}")
 
 
 def _digest(text: str) -> str:
@@ -183,7 +197,7 @@ def _digest(text: str) -> str:
 
 def _rational_option(name: str, value: str) -> Fraction:
     try:
-        return Fraction(value)
+        return _fraction(value)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"{name} must be a rational number, got {value!r}")
 
@@ -206,16 +220,13 @@ def _params(args) -> ReductionParams:
 def _bound_sq(args) -> Fraction:
     if args.bound_sq is not None and args.bound is not None:
         raise UsageError("give one of --bound-sq / --bound, not both")
-    if args.bound_sq is not None:
-        b = _rational_option("--bound-sq", args.bound_sq)
-        if b <= 0:
-            raise UsageError("--bound-sq must be positive")
-        return b
-    if args.bound is not None:
-        b = _rational_option("--bound", args.bound)
-        if b <= 0:
-            raise UsageError("--bound must be positive")
-        return b * b
+    for name, value, square in (("--bound-sq", args.bound_sq, False),
+                                ("--bound", args.bound, True)):
+        if value is not None:
+            b = _rational_option(name, value)
+            if b <= 0:
+                raise UsageError(f"{name} must be positive")
+            return b * b if square else b
     raise UsageError("one of --bound-sq / --bound is required")
 
 
@@ -260,11 +271,14 @@ def cmd_basis(args) -> int:
     return EXIT_OK
 
 
-def _input_lattice(args) -> tuple[str, int, list[tuple], IncrementalLattice]:
-    """The input file of ``minima`` and ``decompose``: its text, dimension
-    and rows, and the engine holding their reduced basis.  The rows must be
-    a basis: no more of them than the dimension (checked first), and as
-    many as the engine's rank."""
+def _input_lattice(args) -> tuple[str, int, list[tuple], IncrementalLattice,
+                                  GeneratingSet]:
+    """The input of ``minima`` and ``decompose``, after the bound and cap:
+    the file's text, dimension and rows, the engine holding their reduced
+    basis, and the complete set enumerated on it up to the bound.  The rows
+    must be a basis: at most ``d`` of them (checked first), of full rank."""
+    bound_sq = _bound_sq(args)
+    _at_least("--cap", [args.cap], 0)
     text = _read_input(args.file)
     d, m, rows = parse_lattice_file(text)
     if m > d:
@@ -272,23 +286,20 @@ def _input_lattice(args) -> tuple[str, int, list[tuple], IncrementalLattice]:
     lat = IncrementalLattice.from_generators(rows)
     if lat.rank < m:
         raise UsageError("basis vectors are linearly dependent")
-    return text, d, rows, lat
+    s = enumerate_up_to(EnumerationRequest(lat, bound_sq, args.cap))
+    return text, d, rows, lat, s
 
 
 def cmd_minima(args) -> int:
-    bound_sq = _bound_sq(args)
-    _at_least("--cap", [args.cap], 0)
-    text, d, rows, lat = _input_lattice(args)
-    s = enumerate_up_to(EnumerationRequest(lat, bound_sq, args.cap))
-    if not s.vectors:
+    text, d, rows, lat, s = _input_lattice(args)
+    if not s.rows:
         print("error: bound below first minimum", file=sys.stderr)
         return EXIT_BOUND
     result = successive_minima(s, expected_rank=lat.rank)
     lines = [
         f"# command: minima",
         f"# input: {_digest(text)}",
-        "# minima_sq: " + " ".join(format_scalar(x)
-                                   for x in result.minima_sq),
+        "# minima_sq: " + " ".join(map(format_scalar, result.minima_sq)),
         f"# rank: {result.rank}",
         f"# partial: {'true' if result.partial else 'false'}",
     ]
@@ -310,11 +321,8 @@ def cmd_minima(args) -> int:
 
 def cmd_decompose(args) -> int:
     params = _params(args)
-    bound_sq = _bound_sq(args)
-    _at_least("--cap", [args.cap], 0)
-    text, d, _, lat = _input_lattice(args)
-    s = enumerate_up_to(EnumerationRequest(lat, bound_sq, args.cap))
-    decomp = orthogonal_decomposition(s, params) if s.vectors else None
+    text, d, _, lat, s = _input_lattice(args)
+    decomp = orthogonal_decomposition(s, params) if s.rows else None
     # s lies in L and the components are pairwise orthogonal: s generates L
     # iff their ranks sum to L's and their squared volumes multiply to L's.
     comps = decomp.components if decomp else ()
@@ -331,8 +339,8 @@ def cmd_decompose(args) -> int:
         f"# input: {_digest(text)}",
         f"# r: {decomp.r}",
         "# indices: " + " ".join(str(i) for i in decomp.indices),
+        f"{d} {lat.rank}",
     ]
-    lines.append(f"{d} {len(decomp.grouped_basis)}")
     for j, comp in enumerate(decomp.components, start=1):
         lines.append(f"# component {j} rank {comp.rank}")
         lines.extend(format_vector(r, comp.scale) for r in comp.rows)
@@ -417,18 +425,13 @@ def cmd_bench(args) -> int:
     _at_least("--reps", [args.reps], 0)
     params = _params(args)
     print("seed,d,m,update_count,theorem_bound,t_incremental,t_batch_mlll")
-    idx = 0
-    for d in dims:
-        for m in counts:
-            for _ in range(args.reps):
-                seed = args.seed + 1009 * idx
-                idx += 1
-                row = bench_row(seed, d, m, args.entry_range,
-                                args.duplicates, params)
-                print(
-                    f"{row['seed']},{row['d']},{row['m']},"
-                    f"{row['update_count']},{row['theorem_bound']:.6f},"
-                    f"{row['t_incremental']:.6f},{row['t_batch_mlll']:.6f}")
+    cases = itertools.product(dims, counts, range(args.reps))
+    for idx, (d, m, _) in enumerate(cases):
+        row = bench_row(args.seed + 1009 * idx, d, m, args.entry_range,
+                        args.duplicates, params)
+        print(f"{row['seed']},{row['d']},{row['m']},"
+              f"{row['update_count']},{row['theorem_bound']:.6f},"
+              f"{row['t_incremental']:.6f},{row['t_batch_mlll']:.6f}")
     return EXIT_OK
 
 
@@ -494,12 +497,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except LatticeFileError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except UsageError as exc:
+    except (UsageError, EnumerationCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except EnumerationCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+        return EXIT_PARSE if isinstance(exc, UsageError) else EXIT_CAP
 
 
 if __name__ == "__main__":

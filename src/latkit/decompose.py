@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .core import (
@@ -30,9 +32,10 @@ from .reduction import DEFAULT_PARAMS, IncrementalLattice, ReductionParams
 
 @dataclass(frozen=True)
 class Decomposition:
-    components: tuple[LatticeBasis, ...]   # pairwise-orthogonal summands
-    grouped_basis: tuple[Vector, ...]
-    indices: tuple[int, ...]   # 1-based component start offsets, length r
+    """The ``r`` pairwise-orthogonal indecomposable summands, in canonical
+    order; ``indices`` are their 1-based start offsets (ranks summed)."""
+    components: tuple[LatticeBasis, ...]
+    indices: tuple[int, ...]
     r: int
 
 
@@ -44,20 +47,13 @@ def _canonicalize(components: Sequence[LatticeBasis]) -> Decomposition:
     that form.  The common scale is positive, so this orders the components
     as the pair (least squared norm, ``canonical_basis``) of each would."""
     lcm = math.lcm(*(c.scale for c in components))
-    keyed = []
-    for c in components:
+
+    def key(c: LatticeBasis):
         canon = _column_hnf([[lcm // c.scale * x for x in r] for r in c.rows])
-        keyed.append(((min(_idot(r, r) for r in canon), canon), c))
-    keyed.sort(key=lambda kv: kv[0])
-    comps = tuple(c for _, c in keyed)
-    grouped: list[Vector] = []
-    indices: list[int] = []
-    pos = 1
-    for c in comps:
-        indices.append(pos)
-        grouped.extend(c.vectors)
-        pos += c.rank
-    return Decomposition(comps, tuple(grouped), tuple(indices), len(comps))
+        return min(_idot(r, r) for r in canon), canon
+    comps = tuple(sorted(components, key=key))
+    indices = tuple(accumulate((c.rank for c in comps), initial=1))[:-1]
+    return Decomposition(comps, indices, len(comps))
 
 
 def orthogonal_decomposition(s: GeneratingSet,
@@ -74,7 +70,7 @@ def orthogonal_decomposition(s: GeneratingSet,
     joined components in list order.  ``check_invariants`` asserts pairwise
     orthogonality after every merge.
     """
-    if not s.vectors:
+    if not s.rows:
         raise ValueError("generating set is empty")
     if not s.complete:
         raise ValueError("orthogonal decomposition requires a complete set")
@@ -140,5 +136,8 @@ def graph_decomposition_oracle(s: GeneratingSet) -> Decomposition:
 
 def canonical_component_forms(decomp: Decomposition
                               ) -> tuple[tuple[Vector, ...], ...]:
-    """Canonical per-component bases, for equality tests between runs."""
-    return tuple(canonical_basis(c.vectors) for c in decomp.components)
+    """Canonical per-component bases, for equality tests between runs: as
+    hnf(kL) = k hnf(L), each is ``canonical_basis`` of its vectors."""
+    return tuple(tuple(tuple(Fraction(x, c.scale) for x in r)
+                       for r in _column_hnf(c.rows))
+                 for c in decomp.components)

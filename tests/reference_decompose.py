@@ -2,7 +2,9 @@
 it before the merge moved to the set's integer rows, kept as test code only.
 
 ``projection_nonzero``, ``_assert_pairwise_orthogonal`` and ``_canonicalize``
-are copied unchanged, and ``reference_orthogonal_decomposition`` is the old
+are copied unchanged (save that ``_canonicalize`` no longer collects the
+``grouped_basis`` that ``Decomposition`` has dropped), and
+``reference_orthogonal_decomposition`` is the old
 ``orthogonal_decomposition``: each component a ``LatticeBasis`` of
 ``Fraction`` vectors, joined by ``Fraction`` inner products and reduced
 afresh by ``mlll`` at every merge.  The differential tests require exactly
@@ -16,7 +18,6 @@ from typing import Sequence
 from latkit.core import (
     GeneratingSet,
     LatticeBasis,
-    Vector,
     canonical_basis,
     norm_sq,
 )
@@ -55,14 +56,12 @@ def _canonicalize(components: Sequence[LatticeBasis]) -> Decomposition:
         keyed.append(((min(norm_sq(v) for v in canon), canon), c))
     keyed.sort(key=lambda kv: kv[0])
     comps = tuple(c for _, c in keyed)
-    grouped: list[Vector] = []
     indices: list[int] = []
     pos = 1
     for c in comps:
         indices.append(pos)
-        grouped.extend(c.vectors)
         pos += c.rank
-    return Decomposition(comps, tuple(grouped), tuple(indices), len(comps))
+    return Decomposition(comps, tuple(indices), len(comps))
 
 
 def reference_orthogonal_decomposition(

@@ -121,10 +121,20 @@ class TestParsing:
     @example("0x10")
     @example("9" * 5000)
     @example("-" + "9" * 4300)
+    @example("1e4300")
+    @example("1e-4300")
+    @example("1e4301")
+    @example("-1e-4301")
+    @example("1.5E+4301")
+    @example(".5e-4301")
+    @example("١e٤٣٠١")
+    @example("1e5000")
+    @example("E5000")
     def test_entry_equals_fraction_of_token(self, token):
         # The parser's value of a token is Fraction(token), an int when it
         # is integral; where Fraction(token) raises, the parser reports the
-        # same error type and message.
+        # same error type and message.  A well-formed decimal exponent past
+        # the int-to-str digit limit is refused instead.
         try:
             want = F(token)
         except (ValueError, ZeroDivisionError) as exc:
@@ -132,6 +142,14 @@ class TestParsing:
                 parse_lattice_file(f"1 1\n{token}\n")
             assert str(err.value) == f"line 2: bad rational literal: {exc}"
             assert type(err.value.__context__) is type(exc)
+            return
+        *_, exponent = re.split("[eE]", token)
+        if exponent != token and \
+                abs(int(exponent)) > sys.get_int_max_str_digits():
+            with pytest.raises(LatticeFileError, match=(
+                    r"^line 2: bad rational literal: decimal exponent "
+                    r"exceeds the limit \(\d+\)$")):
+                parse_lattice_file(f"1 1\n{token}\n")
             return
         [(got,)] = parse_lattice_file(f"1 1\n{token}\n")[2]
         assert got == want
@@ -284,6 +302,18 @@ class TestExitCodes:
         code = run_cli(["basis", "FILE", "--delta", "x"],
                        tmp_path, Z2_REDUNDANT)
         self._check(code, EXIT_PARSE, capsys)
+
+    @pytest.mark.parametrize("options", [
+        ["--bound-sq", "1e4301"], ["--bound", "1e-4301"],
+        ["--bound-sq", "2", "--delta", "75e-4302"],
+        ["--bound-sq", " 2E+99999 "]])
+    def test_exponent_option_past_digit_limit(self, options, tmp_path,
+                                              capsys):
+        code = run_cli(["decompose", "FILE", *options], tmp_path, DIAG)
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: --[a-z-]+ must be a rational number, "
+                            r"got '[^']+'\n", err)
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["basis", str(tmp_path / "missing.lat")])
@@ -603,6 +633,27 @@ class TestEntryPoint:
         assert any(Path(o).resolve().is_relative_to(src / "latkit")
                    for o in origins)
         assert [o for o in origins if not allowed(o)] == []
+
+    @pytest.mark.parametrize("args, content", [
+        (["basis", "FILE"], "1 1\n1e999999999\n"),
+        (["minima", "FILE", "--bound-sq", "1e999999999", "--cap", "5"],
+         DIAG),
+    ])
+    def test_huge_exponent_exits_at_once(self, args, content, tmp_path):
+        """An exponent far past the digit limit exits 2 with one error
+        line, before any power of ten is formed.  Run in a subprocess with
+        a timeout, so that a regression fails instead of hanging."""
+        path = tmp_path / "input.lat"
+        path.write_text(content)
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "latkit.cli",
+             *(str(path) if a == "FILE" else a for a in args)],
+            capture_output=True, text=True, timeout=30,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.returncode == EXIT_PARSE
+        assert proc.stdout == ""
+        assert re.fullmatch(r"(parse )?error: [^\n]*\n", proc.stderr)
 
     def test_console_script_installed(self, tmp_path):
         path = tmp_path / "z2.lat"

@@ -107,7 +107,8 @@ class TestOrthogonalDecomposition:
     def test_components_regenerate_lattice(self):
         basis = zd4_basis()
         d = orthogonal_decomposition(complete_set(basis, 2))
-        assert lattice_equal(d.grouped_basis, basis)
+        assert lattice_equal(
+            [v for c in d.components for v in c.vectors], basis)
         prod = F(1)
         for c in d.components:
             prod *= volume_sq(c)

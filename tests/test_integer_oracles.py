@@ -6,7 +6,8 @@ the integer Hermite normal form and integer dot products; each must give
 exactly the answer of the rational elimination it replaced, frozen in
 ``reference_linalg``.  The merge scan runs on the set's integer rows and
 must give exactly the decomposition of the ``Fraction`` merge frozen in
-``reference_decompose``.
+``reference_decompose``, and the canonical forms it is compared by must be
+``canonical_basis`` of each component.
 """
 
 from fractions import Fraction as F
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 
 from latkit import (
     LatticeBasis,
+    canonical_basis,
+    canonical_component_forms,
     enumerate_up_to,
     graph_decomposition_oracle,
     greedy_minima_oracle,
@@ -81,6 +84,23 @@ def test_decomposition_equals_frozen_merge(case, c, t):
     # Equal component vectors, in the same order, and equal indices.
     assert orthogonal_decomposition(s, check_invariants=True) == \
         reference_orthogonal_decomposition(s, check_invariants=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scrambled_block_lattices(), st.sampled_from([F(1), F(1, 2)]),
+       BOUND_FACTORS)
+@example(JOINS_TWO, F(1), F(1))
+@example(JOINS_TWO, F(1, 2), F(1))
+def test_component_forms_equal_canonical_basis(case, c, t):
+    # The forms are the HNF of each component's rows over its scale; as
+    # hnf(kL) = k hnf(L), that is canonical_basis of its vectors, for the
+    # merge's components (over the set's scale) and the oracle's (over
+    # their own).
+    s = _block_set(case, c, t)
+    assume(s.vectors)
+    for d in (orthogonal_decomposition(s), graph_decomposition_oracle(s)):
+        assert canonical_component_forms(d) == \
+            tuple(canonical_basis(c.vectors) for c in d.components)
 
 
 ENTRIES = st.sampled_from([F(0), F(1), F(-1), F(2), F(-3), F(1, 2),
