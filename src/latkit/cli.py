@@ -102,6 +102,10 @@ def format_vector(v: Sequence, scale: int = 1) -> str:
     return " ".join(map(format_scalar, v))
 
 
+class ExponentLimitError(ValueError):
+    """A decimal exponent past the int-to-str digit limit in magnitude."""
+
+
 def _fraction(token: str) -> Fraction:
     """``Fraction(token)``, but a decimal exponent past the int-to-str digit
     limit in magnitude raises before ``Fraction`` raises 10 to it (seconds
@@ -115,7 +119,8 @@ def _fraction(token: str) -> Fraction:
         except ValueError:
             return Fraction(token)
         if int(m[1]) > limit:
-            raise ValueError(f"decimal exponent exceeds the limit ({limit})")
+            raise ExponentLimitError(
+                f"decimal exponent exceeds the limit ({limit})")
     return Fraction(token)
 
 
@@ -198,6 +203,8 @@ def _digest(text: str) -> str:
 def _rational_option(name: str, value: str) -> Fraction:
     try:
         return _fraction(value)
+    except ExponentLimitError as exc:
+        raise UsageError(f"{name}: {exc}, got {value!r}")
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"{name} must be a rational number, got {value!r}")
 

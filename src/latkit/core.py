@@ -4,7 +4,8 @@ A family of rational vectors is carried as integer rows over one positive
 common denominator, its ``scale``: ``integerize`` is the one normalizer of
 vectors handed in (``int`` and ``Fraction`` entries, or anything
 ``Fraction()`` accepts), and ``LatticeBasis`` and ``GeneratingSet`` keep
-those rows.  ``Fraction`` vectors are formed only where the API hands
+only those rows and that scale (for a ``GeneratingSet``, the least common
+denominator).  ``Fraction`` vectors are formed only where the API hands
 vectors out (their ``vectors`` and ``canonical_basis``).  Norms and volumes
 are carried as squared quantities, so every comparison stays rational; the
 independence check of ``LatticeBasis``, the norm order of ``GeneratingSet``
@@ -15,7 +16,7 @@ on the integer rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -127,25 +128,19 @@ class GeneratingSet:
     ``complete`` means the producer asserts the set contains every nonzero
     lattice vector of squared norm at most ``bound_sq``.
 
-    Both constructors run one integer core: the bound check and the sort
-    work on integer rows over a positive common denominator, and each
-    output ``Fraction`` is formed once, at the end.  ``__init__`` rescales
-    its rational vectors to such rows (``integerize``); the enumerator hands
-    its integer rows to ``from_rows`` directly.  The set keeps those rows
-    for the MLLL engine, in the order of ``vectors``: ``rows[i] / scale ==
-    vectors[i]``.
+    The vectors are kept as integer rows over their least common
+    denominator, ``vectors[i] == rows[i] / scale``, formed as ``Fraction``s
+    on each access.  That scale is unique, so equality and hashing on
+    ``rows`` and ``scale`` are those on the vectors.
     """
 
-    vectors: tuple[Vector, ...]
+    rows: tuple[tuple[int, ...], ...]
+    scale: int
     bound_sq: Fraction
     complete: bool = False
-    rows: tuple[tuple[int, ...], ...] = field(
-        init=False, compare=False, repr=False)
-    scale: int = field(init=False, compare=False, repr=False)
 
     def __init__(self, vectors, bound_sq, complete=False):
-        rows, scale = integerize(vectors)
-        self._init_rows(rows, scale, bound_sq, complete)
+        self._init_rows(*integerize(vectors), bound_sq, complete)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], scale: int, bound_sq,
@@ -178,15 +173,17 @@ class GeneratingSet:
         # With scale > 0, (n, r) orders as (norm_sq, r / scale) does.
         keyed.sort()
         rows = tuple(r for _, r in keyed)
-        # One Fraction per distinct entry; Fractions are immutable, so the
-        # vectors can share them.
-        frac = {c: Fraction(c, scale) for c in {c for r in rows for c in r}}
-        object.__setattr__(self, "vectors", tuple(
-            tuple(map(frac.__getitem__, r)) for r in rows))
+        if scale > 1:       # to the least common denominator
+            g = math.gcd(scale, *(c for r in rows for c in r))
+            if g > 1:
+                scale //= g
+                rows = tuple(tuple(c // g for c in r) for r in rows)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "bound_sq", bound_sq)
         object.__setattr__(self, "complete", bool(complete))
+
+    vectors = LatticeBasis.vectors      # rows / scale, on each access
 
 
 def _row_hnf(rows: list[list[int]], d: int) -> list[list[int]]:

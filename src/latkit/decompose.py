@@ -98,11 +98,12 @@ def graph_decomposition_oracle(s: GeneratingSet) -> Decomposition:
     are the length-indecomposable vectors of S and whose edges join
     non-orthogonal pairs; each vertex class generates one summand, whose
     basis is the Hermite normal form of the class."""
-    if not s.vectors:
+    vectors = s.vectors
+    if not vectors:
         raise ValueError("generating set is empty")
     if not s.complete:
         raise ValueError("orthogonal decomposition requires a complete set")
-    rows, _ = integerize(s.vectors)
+    rows, _ = integerize(vectors)
     norms = [_idot(r, r) for r in rows]
     # v is length-decomposable iff v = x + (v - x) with x in S and both
     # parts strictly shorter than v: |x|^2 < |v|^2 and, as |v - x|^2 =
@@ -129,7 +130,7 @@ def graph_decomposition_oracle(s: GeneratingSet) -> Decomposition:
                 stack.append(j)
             comp.extend(adjacent)
         components.append(
-            LatticeBasis(canonical_basis([s.vectors[vertices[i]]
+            LatticeBasis(canonical_basis([vectors[vertices[i]]
                                           for i in comp])))
     return _canonicalize(components)
 

@@ -65,17 +65,17 @@ def enumerate_up_to(req: EnumerationRequest) -> GeneratingSet:
     sorted by squared norm, then lexicographically; raises
     EnumerationCapExceeded rather than ever returning a truncated, silently
     incomplete set.  Neither the output nor the cap behaviour depends on the
-    basis presented.  A ``LatticeBasis`` is reduced first: its integer rows
-    as they stand, in an engine that then takes the basis's scale (the MLLL
-    loop never reads the scale); an engine is searched as it stands.  The
-    search stays in the engine's integers up to the output: each vector
+    basis presented.  A ``LatticeBasis`` is reduced first, its integer rows
+    in an engine built at its scale; an engine is searched as it stands.
+    The search stays in the engine's integers up to the output: each vector
     found is kept as its integer row over the engine's ``scale``, and
-    ``GeneratingSet.from_rows`` checks, sorts and converts them.
+    ``GeneratingSet.from_rows`` checks and sorts them and brings them to
+    their least common denominator.
     """
     lat = req.basis
     if not isinstance(lat, IncrementalLattice):
-        lat = IncrementalLattice.from_generators(req.basis.rows)
-        lat.scale = req.basis.scale
+        lat = IncrementalLattice(lat.dim, scale=lat.scale)
+        lat.extend(req.basis.rows)
     rows, d, lam, scale = lat.rows, lat.d, lat.lam, lat.scale
     n = lat.rank
     cap = req.cap
@@ -131,8 +131,9 @@ def first_minimum_sq(basis: LatticeBasis,
     """
     if basis.rank < 1:
         raise ValueError("lattice of rank zero has no first minimum")
-    lat = IncrementalLattice.from_generators(basis.rows, params)
-    lat.scale = basis.scale
+    lat = IncrementalLattice(basis.dim, params, basis.scale)
+    lat.extend(basis.rows)
     bound = Fraction(min(_idot(r, r) for r in lat.rows), lat.scale ** 2)
-    row = enumerate_up_to(EnumerationRequest(lat, bound, cap)).rows[0]
-    return Fraction(_idot(row, row), lat.scale ** 2)
+    s = enumerate_up_to(EnumerationRequest(lat, bound, cap))
+    row = s.rows[0]
+    return Fraction(_idot(row, row), s.scale ** 2)

@@ -43,16 +43,16 @@ def successive_minima(s: GeneratingSet,
     ``expected_rank`` (when known, e.g. from a basis) flags results as
     partial if the bound was too small to reach every minimum.
     """
-    if not s.vectors:
+    if not s.rows:
         raise ValueError("generating set is empty")
     if not s.complete:
         raise ValueError("successive minima require a complete set")
     lattice = IncrementalLattice(len(s.rows[0]), scale=s.scale)
     minima: list[Fraction] = []
     witnesses: list[Vector] = []
-    for v, row in zip(s.vectors, s.rows):
+    for row in s.rows:
         if lattice.insert(row) and lattice.rank > len(minima):
-            witnesses.append(v)
+            witnesses.append(tuple(Fraction(c, s.scale) for c in row))
             minima.append(Fraction(_idot(row, row), s.scale ** 2))
             if lattice.rank == lattice.dim:
                 break
@@ -69,10 +69,11 @@ def greedy_minima_oracle(s: GeneratingSet) -> MinimaResult:
     of what it checks, and rescales the vectors of ``s`` itself rather than
     read ``s.rows``.  With the scale positive, sorting the integer rows on
     ``(norm, row)`` gives the order of ``(norm_sq(v), v)``."""
-    if not s.vectors:
+    vectors = s.vectors
+    if not vectors:
         raise ValueError("generating set is empty")
-    rows, scale = integerize(s.vectors)
-    keyed = sorted((_idot(r, r), r, v) for r, v in zip(rows, s.vectors))
+    rows, scale = integerize(vectors)
+    keyed = sorted((_idot(r, r), r, v) for r, v in zip(rows, vectors))
     kept: list[Vector] = []
     kept_rows: list[list[int]] = []
     minima: list[Fraction] = []

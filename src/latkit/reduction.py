@@ -198,7 +198,7 @@ class IncrementalLattice:
                 if lam[k][k - 1]:
                     self._swap_dependent(k)
                 else:
-                    self._exchange(k)
+                    self._swap(k)
                     z = k - 1
                     if z == 0:
                         self._drop_front()
@@ -241,7 +241,9 @@ class IncrementalLattice:
         lam[k] = old_k1 + [x]
 
     def _swap(self, k: int) -> None:
-        """Swap two slots with b* != 0 (Cohen, Alg. 2.6.7, SWAPI)."""
+        """Swap slots k-1 and k, b*_{k-1} != 0 (Cohen, Alg. 2.6.7, SWAPI).
+        A zero slot k with lambda_{k,k-1} = 0 moves to k-1: as d_{k+1} = d_k
+        and lambda_.k = 0, d_k becomes d_{k-1} and lambda_.{k-1} moves up."""
         d, lam = self.d, self.lam
         x = lam[k][k - 1]
         self._swap_rows(k, x)
@@ -253,16 +255,6 @@ class IncrementalLattice:
             li[k] = (dk1 * li[k - 1] - x * t) // dk
             li[k - 1] = (b * t + x * li[k]) // dk1
         d[k] = b
-
-    def _exchange(self, k: int) -> None:
-        """Slot k has b* = 0 and mu_{k,k-1} = 0: the zero slot moves to
-        k-1, the nonzero one up to k."""
-        d, lam = self.d, self.lam
-        self._swap_rows(k, 0)
-        d[k] = d[k - 1]
-        for i in range(k + 1, len(lam)):
-            li = lam[i]
-            li[k - 1], li[k] = li[k], li[k - 1]
 
     def _swap_dependent(self, k: int) -> None:
         """Slot k has b* = 0 and mu = mu_{k,k-1} != 0.  After the swap the

@@ -312,8 +312,10 @@ class TestExitCodes:
         code = run_cli(["decompose", "FILE", *options], tmp_path, DIAG)
         assert code == EXIT_PARSE
         err = capsys.readouterr().err
-        assert re.fullmatch(r"error: --[a-z-]+ must be a rational number, "
-                            r"got '[^']+'\n", err)
+        name, value = options[-2:]
+        limit = sys.get_int_max_str_digits()
+        assert err == (f"error: {name}: decimal exponent exceeds the limit "
+                       f"({limit}), got {value!r}\n")
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["basis", str(tmp_path / "missing.lat")])

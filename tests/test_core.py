@@ -318,6 +318,8 @@ def test_rows_and_scale_do_not_change_results(case, k):
         assert [tuple(F(c, s.scale) for c in r) for r in s.rows] == \
             list(s.vectors)
     assert a == b
+    assert hash(a) == hash(b)
+    assert (a.rows, a.scale) == (b.rows, b.scale)
     assert _outcome(lambda: successive_minima(a)) == \
         _outcome(lambda: successive_minima(b))
     assert _outcome(lambda: orthogonal_decomposition(a)) == \

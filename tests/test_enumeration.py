@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -99,7 +100,10 @@ class TestEngineInput:
                 IncrementalLattice.from_generators(rows), bound_sq))
             assert via_engine == via_basis
             assert via_engine.rows == via_basis.rows
-            assert via_engine.scale == via_basis.scale == 6
+            # The least common denominator of the vectors: 1 for the
+            # empty set at bound 1.
+            assert via_engine.scale == via_basis.scale == math.lcm(
+                *(c.denominator for v in via_basis.vectors for c in v))
 
     def test_rejects_empty_engine(self):
         with pytest.raises(ValueError):
@@ -203,16 +207,18 @@ class TestFirstMinimum:
     def test_rational_basis(self):
         basis = LatticeBasis([(F(1, 2), F(1, 3)), (3, 1)])
         assert first_minimum_sq(basis) == F(13, 36)
+        # The engine runs at scale 2; the set {(1, 0), (-1, 0)} it finds up
+        # to its shortest row has scale 1, and the norm is read over that.
+        assert first_minimum_sq(LatticeBasis([(1, 0), (F(1, 2), 9)])) == 1
 
     def test_reduces_once(self, monkeypatch):
         calls = []
-        original = IncrementalLattice.from_generators.__func__
+        original = IncrementalLattice.extend
 
-        def counted(cls, *args, **kwargs):
+        def counted(self, *args, **kwargs):
             calls.append(args)
-            return original(cls, *args, **kwargs)
+            return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(IncrementalLattice, "from_generators",
-                            classmethod(counted))
+        monkeypatch.setattr(IncrementalLattice, "extend", counted)
         assert first_minimum_sq(LatticeBasis([(5, 7), (4, 6)])) == 2
         assert len(calls) == 1
