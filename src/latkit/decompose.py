@@ -6,13 +6,15 @@ components of the non-orthogonality graph on length-indecomposable vectors.
 The scan runs on the set's integer rows: it tests each row for membership
 in the running sum with the integral MLLL engine of ``latkit.reduction``,
 and each component is such an engine, rebuilt from its rows at a merge.
-The oracle never uses it: it takes each component's basis from the Hermite
-normal form of its vertices (``canonical_basis``).
+The oracle never uses it: it reads the same rows, sorts them by norm
+itself, and takes each component's basis from the Hermite normal form of
+its vertices' rows (``_column_hnf``) over the set's scale.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -24,8 +26,6 @@ from .core import (
     Vector,
     _column_hnf,
     _idot,
-    canonical_basis,
-    integerize,
 )
 from .reduction import DEFAULT_PARAMS, IncrementalLattice, ReductionParams
 
@@ -97,23 +97,23 @@ def graph_decomposition_oracle(s: GeneratingSet) -> Decomposition:
     """Independent route: connected components of the graph whose vertices
     are the length-indecomposable vectors of S and whose edges join
     non-orthogonal pairs; each vertex class generates one summand, whose
-    basis is the Hermite normal form of the class."""
-    vectors = s.vectors
-    if not vectors:
+    basis is the Hermite normal form of the class.  It sorts the integer
+    rows of ``s`` by norm itself."""
+    if not s.rows:
         raise ValueError("generating set is empty")
     if not s.complete:
         raise ValueError("orthogonal decomposition requires a complete set")
-    rows, _ = integerize(vectors)
-    norms = [_idot(r, r) for r in rows]
+    keyed = sorted((_idot(r, r), r) for r in s.rows)
     # v is length-decomposable iff v = x + (v - x) with x in S and both
-    # parts strictly shorter than v: |x|^2 < |v|^2 and, as |v - x|^2 =
-    # |v|^2 - 2<v,x> + |x|^2, |x|^2 < 2<v,x>.  Completeness of S means
-    # every such x is in it; |x| < |v| makes x != v, so v - x is nonzero.
-    # Strictness matters: with equal norms allowed the minimal vectors of
-    # a root lattice would all qualify, emptying the vertex set.
-    vertices = [i for i, (v, nv) in enumerate(zip(rows, norms))
-                if not any(nx < nv and nx < 2 * _idot(v, x)
-                           for x, nx in zip(rows, norms))]
+    # parts strictly shorter than v: |x|^2 < |v|^2 (x is in the prefix of
+    # keyed before (|v|^2,)) and, as |v - x|^2 = |v|^2 - 2<v,x> + |x|^2,
+    # |x|^2 < 2<v,x>.  Completeness of S means every such x is in it;
+    # |x| < |v| makes x != v, so v - x is nonzero.  Strictness matters:
+    # with equal norms allowed the minimal vectors of a root lattice would
+    # all qualify, emptying the vertex set.
+    vertices = [v for nv, v in keyed
+                if not any(nx < 2 * _idot(v, x)
+                           for nx, x in keyed[:bisect_left(keyed, (nv,))])]
     unvisited = set(range(len(vertices)))
     components: list[LatticeBasis] = []
     while unvisited:
@@ -124,14 +124,14 @@ def graph_decomposition_oracle(s: GeneratingSet) -> Decomposition:
         while stack:
             i = stack.pop()
             adjacent = [j for j in unvisited
-                        if _idot(rows[vertices[i]], rows[vertices[j]])]
+                        if _idot(vertices[i], vertices[j])]
             for j in adjacent:
                 unvisited.discard(j)
                 stack.append(j)
             comp.extend(adjacent)
-        components.append(
-            LatticeBasis(canonical_basis([vectors[vertices[i]]
-                                          for i in comp])))
+        hnf = _column_hnf([vertices[i] for i in comp])
+        components.append(LatticeBasis(
+            [[Fraction(c, s.scale) for c in r] for r in hnf]))
     return _canonicalize(components)
 
 

@@ -21,7 +21,6 @@ from .core import (
     Vector,
     _column_hnf,
     _idot,
-    integerize,
     volume_sq,
 )
 from .reduction import IncrementalLattice
@@ -40,8 +39,9 @@ def successive_minima(s: GeneratingSet,
     """Squared successive minima (and witnesses) of the lattice generated by
     the complete set ``s``.
 
-    ``expected_rank`` (when known, e.g. from a basis) flags results as
-    partial if the bound was too small to reach every minimum.
+    ``expected_rank`` (when known, e.g. from a basis) is where the scan
+    stops, at that many minima (the dimension when not given), and flags
+    results as partial if the bound was too small to reach every minimum.
     """
     if not s.rows:
         raise ValueError("generating set is empty")
@@ -54,7 +54,7 @@ def successive_minima(s: GeneratingSet,
         if lattice.insert(row) and lattice.rank > len(minima):
             witnesses.append(tuple(Fraction(c, s.scale) for c in row))
             minima.append(Fraction(_idot(row, row), s.scale ** 2))
-            if lattice.rank == lattice.dim:
+            if lattice.rank == (expected_rank or lattice.dim):
                 break
     partial = expected_rank is not None and len(minima) < expected_rank
     return MinimaResult(tuple(minima), tuple(witnesses), len(minima), partial)
@@ -64,25 +64,21 @@ def greedy_minima_oracle(s: GeneratingSet) -> MinimaResult:
     """Brute-force reference: scan every vector by norm and keep each one
     that is linearly independent of those kept so far, that is, each one
     that adds a row to the Hermite normal form of the kept rows (rank
-    recomputation, no subspace shortcut, no early exit).  It sorts by norm
-    itself rather than trust the order of ``s``, since that order is part
-    of what it checks, and rescales the vectors of ``s`` itself rather than
-    read ``s.rows``.  With the scale positive, sorting the integer rows on
-    ``(norm, row)`` gives the order of ``(norm_sq(v), v)``."""
-    vectors = s.vectors
-    if not vectors:
+    recomputation, no subspace shortcut, no early exit).  It reads
+    ``s.rows``, which loses no independence: ``s.vectors`` is only those
+    rows over ``s.scale > 0``, so ``(norm, row)`` orders as
+    ``(norm_sq(v), v)``.  It sorts by norm itself rather than trust the
+    order of ``s``, since that order is part of what it checks."""
+    if not s.rows:
         raise ValueError("generating set is empty")
-    rows, scale = integerize(vectors)
-    keyed = sorted((_idot(r, r), r, v) for r, v in zip(rows, vectors))
-    kept: list[Vector] = []
-    kept_rows: list[list[int]] = []
+    kept: list[tuple[int, ...]] = []
     minima: list[Fraction] = []
-    for n, row, v in keyed:
-        if len(_column_hnf(kept_rows + [row])) > len(kept_rows):
-            kept.append(v)
-            kept_rows.append(row)
-            minima.append(Fraction(n, scale * scale))
-    return MinimaResult(tuple(minima), tuple(kept), len(kept))
+    for n, row in sorted((_idot(r, r), r) for r in s.rows):
+        if len(_column_hnf(kept + [row])) > len(kept):
+            kept.append(row)
+            minima.append(Fraction(n, s.scale ** 2))
+    witnesses = tuple(tuple(Fraction(c, s.scale) for c in r) for r in kept)
+    return MinimaResult(tuple(minima), witnesses, len(kept))
 
 
 def minkowski_check(basis: LatticeBasis, result: MinimaResult,

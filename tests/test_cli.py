@@ -15,7 +15,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from latkit import LatticeBasis, cli, enumerate_up_to, lattice_equal
@@ -25,6 +25,7 @@ from latkit.cli import (
     EXIT_CAP,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_VERIFY,
     LatticeFileError,
     format_scalar,
     format_vector,
@@ -554,6 +555,57 @@ def test_decompose_exit_code_matches_hnf_decision(case, data):
             f"error: insufficient bound: the {len(set(s.vectors))} "
             f"enumerated vectors do not generate the full rank-{len(rows)} "
             "lattice\n")
+
+
+# Entries of the exit-code fuzz: small values, wide ones (spelt with '_',
+# or needing big-number arithmetic) and tokens the parser refuses (a zero
+# denominator, infinity, an exponent past the digit limit); each file draws
+# the last two kinds only sometimes, so that many files parse and have
+# short vectors.
+SMALL_TOKENS = ["0", "1", "-1", "2", "-2", "3/2", "-1/2", "١"]
+WIDE_TOKENS = ["1_0", str(10 ** 30 + 7), "-" + "9" * 60]
+BAD_TOKENS = ["1/0", "inf", "1e999999999"]
+
+
+@st.composite
+def lattice_files(draw):
+    """A lattice file of 1-4 columns and 1-5 rows."""
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5))
+    tokens = st.sampled_from(
+        SMALL_TOKENS + draw(st.sampled_from([[], WIDE_TOKENS]))
+        + draw(st.sampled_from([[], BAD_TOKENS])))
+    rows = [" ".join(draw(st.lists(tokens, min_size=d, max_size=d)))
+            for _ in range(m)]
+    return "\n".join([f"{d} {m}", *rows]) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_files(), st.sampled_from(["basis", "minima", "decompose"]),
+       st.sampled_from(["2", "1", "5/2", "4", "9", None, "0", "-1", "1/0",
+                        "inf"]),
+       st.sampled_from([None, "3/4", "99/100", "1", "1/4", "0"]),
+       st.booleans(), st.sampled_from([2000, 40, 1]))
+def test_main_returns_a_documented_exit_code(text, command, bound_sq, delta,
+                                             verify, cap):
+    """On any lattice file and option values, ``main`` returns one of the
+    documented exit codes instead of raising."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.lat")
+        with open(path, "w") as fh:
+            fh.write(text)
+        argv = [command, path, f"--cap={cap}"]
+        if command != "basis" and bound_sq is not None:
+            argv.append(f"--bound-sq={bound_sq}")
+        if command != "minima" and delta is not None:
+            argv.append(f"--delta={delta}")
+        if verify:
+            argv.append("--verify")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    event(f"{command} exit {code}")
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_VERIFY, EXIT_BOUND, EXIT_CAP)
 
 
 class TestBenchCommand:

@@ -4,7 +4,7 @@ the decomposition merge.
 The greedy rank scan, the graph components and the membership test run on
 the integer Hermite normal form and integer dot products; each must give
 exactly the answer of the rational elimination it replaced, frozen in
-``reference_linalg``.  The merge scan runs on the set's integer rows and
+``reference_linalg``, and the same answer on the set's rows in any order.  The merge scan runs on the set's integer rows and
 must give exactly the decomposition of the ``Fraction`` merge frozen in
 ``reference_decompose``, and the canonical forms it is compared by must be
 ``canonical_basis`` of each component.
@@ -25,6 +25,7 @@ from latkit import (
     greedy_minima_oracle,
     is_member,
     orthogonal_decomposition,
+    successive_minima,
 )
 from latkit.enumeration import EnumerationRequest
 
@@ -154,3 +155,28 @@ class TestIsMemberEdgeCases:
         for member in (is_member, reference_is_member):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 member(basis, (1, 0, 0))
+
+
+# A basis of Z + D4, scrambled, at scale 1 and 1/2.
+Z_D4 = [(1, 0, 0, 0, 0), (1, 1, -1, 0, 0), (0, 0, 1, -1, 0),
+        (0, 0, 0, 1, -1), (0, 0, 0, 1, 1)]
+
+
+@pytest.mark.parametrize("rows, bound", [
+    (Z_D4, 4), ([[F(c, 2) for c in r] for r in Z_D4], 1),
+    (JOINS_TWO[0].vectors, JOINS_TWO[1])])
+def test_oracles_sort_the_set_themselves(rows, bound):
+    # The order of a GeneratingSet is part of what --verify checks, so
+    # each oracle must sort the rows by norm itself: on the rows in
+    # decreasing norm, both must answer as on the sorted set, while the
+    # scan, which trusts the order, must disagree with the greedy oracle.
+    basis = LatticeBasis(rows)
+    s = enumerate_up_to(EnumerationRequest(basis, bound))
+    unsorted = enumerate_up_to(EnumerationRequest(basis, bound))
+    object.__setattr__(unsorted, "rows", s.rows[::-1])
+    assert unsorted.rows != s.rows
+    assert greedy_minima_oracle(unsorted) == greedy_minima_oracle(s)
+    assert canonical_component_forms(graph_decomposition_oracle(unsorted)) \
+        == canonical_component_forms(graph_decomposition_oracle(s))
+    assert successive_minima(unsorted).minima_sq != \
+        greedy_minima_oracle(unsorted).minima_sq

@@ -3,7 +3,7 @@ on the integral MLLL engine.
 
 The scan must agree with the greedy rank-recomputation oracle in every
 field, also on lattices of rank below the dimension (where it runs to the
-end of the input instead of stopping early), and the enumerator must return
+end of the input unless it is given the rank to stop at), and the enumerator must return
 the same vectors, and hit its cap on the same inputs, whatever basis of the
 lattice it is given, in agreement with the box-scan oracle.
 """
@@ -23,6 +23,7 @@ from latkit import (
     norm_sq,
     successive_minima,
 )
+from latkit.reduction import IncrementalLattice
 
 from conftest import scrambled
 from reference_enumeration import _gram_inverse_diagonal, box_oracle
@@ -99,18 +100,32 @@ def test_cap_is_basis_independent(lattice, data, cap):
     assert outcomes[0] == outcomes[1]
 
 
-def test_scan_runs_to_the_end_below_full_dimension():
+def test_scan_runs_to_the_end_below_full_dimension(monkeypatch):
     # Z^5 + (1/2, ..., 1/2) in dimension 6: the five unit vectors give
     # every minimum but generate an index-2 sublattice, and the rank never
-    # reaches the dimension, so the scan goes on through the 32 half
-    # vectors.  Each one extends the running lattice without raising its
-    # rank, and none of them may count as a witness.
+    # reaches the dimension, so without the rank the scan goes on through
+    # the 32 half vectors.  Each one extends the running lattice without
+    # raising its rank, and none of them may count as a witness.  Given
+    # the rank, the scan stops at the fifth witness.
     h = (F(1, 2),) * 5 + (0,)
     units = [tuple(int(i == j) for j in range(6)) for i in range(4)]
     s = enumerate_up_to(EnumerationRequest(LatticeBasis(units + [h]),
                                            F(5, 4)))
     assert len(s.vectors) == 10 + 32
+    inserted = []
+    insert = IncrementalLattice.insert
+
+    def counting_insert(self, row):
+        inserted.append(row)
+        return insert(self, row)
+
+    monkeypatch.setattr(IncrementalLattice, "insert", counting_insert)
     r = successive_minima(s)
     assert r.minima_sq == (1,) * 5
     assert r.rank == 5
     assert r == greedy_minima_oracle(s)
+    assert len(inserted) == len(s.rows)
+    inserted.clear()
+    assert successive_minima(s, expected_rank=5) == r
+    assert inserted == list(s.rows[:s.vectors.index(r.witnesses[-1]) + 1])
+    assert len(inserted) < len(s.rows)
