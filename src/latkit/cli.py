@@ -40,7 +40,6 @@ from .core import (
     Vector,
     lattice_equal,
     norm_sq,
-    volume_sq,
 )
 from .decompose import (
     canonical_component_forms,
@@ -249,7 +248,7 @@ def cmd_basis(args) -> int:
         f"# command: basis",
         f"# input: {_digest(text)}",
         f"# rank: {basis.rank}",
-        f"# volume_sq: {format_scalar(volume_sq(basis))}",
+        f"# volume_sq: {format_scalar(basis.volume_sq)}",
         f"{d} {basis.rank}",
     ]
     lines += (format_vector(r, basis.scale) for r in basis.rows)
@@ -335,10 +334,9 @@ def cmd_decompose(args) -> int:
     comps = decomp.components if decomp else ()
     if not comps or sum(c.rank for c in comps) != lat.rank or \
             math.prod(c.volume_sq for c in comps) != lat.volume_sq:
-        got = len(set(s.rows))
         print(
-            f"error: insufficient bound: the {got} enumerated vectors do "
-            f"not generate the full rank-{lat.rank} lattice",
+            f"error: insufficient bound: the {len(s.rows)} enumerated "
+            f"vectors do not generate the full rank-{lat.rank} lattice",
             file=sys.stderr)
         return EXIT_BOUND
     lines = [

@@ -186,12 +186,32 @@ class GeneratingSet:
     vectors = LatticeBasis.vectors      # rows / scale, on each access
 
 
-def _row_hnf(rows: list[list[int]], d: int) -> list[list[int]]:
-    """Row-style HNF: pivots left to right, zeros below, entries above a
-    pivot reduced into [0, pivot)."""
-    rows = [r[:] for r in rows if any(r)]
+def integerize(vectors: Iterable) -> tuple[list[list[int]], int]:
+    """Rescale rational vectors by the lcm of all denominators: integer rows
+    and that common denominator.
+
+    ``int`` and ``Fraction`` entries are read as they are, anything else
+    through ``Fraction(c)``; at a common denominator of 1 the rows are the
+    numerators.  Vectors of different lengths raise ``ValueError``."""
+    vs = [[c if type(c) is int or type(c) is Fraction else Fraction(c)
+           for c in v] for v in vectors]
+    if len({len(v) for v in vs}) > 1:
+        raise ValueError("vectors have mixed dimensions")
+    scale = math.lcm(*{c.denominator for v in vs for c in v})
+    if scale == 1:
+        return [[c.numerator for c in v] for v in vs], 1
+    return [[c.numerator * (scale // c.denominator) for c in v]
+            for v in vs], scale
+
+
+def _column_hnf(rows: Sequence) -> tuple[tuple[int, ...], ...]:
+    """Column-style Hermite normal form of integer rows of one length, the
+    library's one HNF routine: each row ends in a positive pivot, the
+    pivots' columns increase down the rows, and later rows' entries in a
+    pivot's column lie in [0, pivot).  Eliminates from the last column."""
+    rows = [list(r) for r in rows if any(r)]
     r0 = 0
-    for col in range(d):
+    for col in range(len(rows[0]) - 1, -1, -1) if rows else ():
         while True:
             nz = [i for i in range(r0, len(rows)) if rows[i][col] != 0]
             if not nz:
@@ -217,43 +237,21 @@ def _row_hnf(rows: list[list[int]], d: int) -> list[list[int]]:
                 break
         if r0 == len(rows):
             break
-    return [r for r in rows if any(r)]
+    return tuple(map(tuple, reversed(rows[:r0])))
 
 
-def integerize(vectors: Iterable) -> tuple[list[list[int]], int]:
-    """Rescale rational vectors by the lcm of all denominators: integer rows
-    and that common denominator.
-
-    ``int`` and ``Fraction`` entries are read as they are, anything else
-    through ``Fraction(c)``; at a common denominator of 1 the rows are the
-    numerators.  Vectors of different lengths raise ``ValueError``."""
-    vs = [[c if type(c) is int or type(c) is Fraction else Fraction(c)
-           for c in v] for v in vectors]
-    if len({len(v) for v in vs}) > 1:
-        raise ValueError("vectors have mixed dimensions")
-    scale = math.lcm(*{c.denominator for v in vs for c in v})
-    if scale == 1:
-        return [[c.numerator for c in v] for v in vs], 1
-    return [[c.numerator * (scale // c.denominator) for c in v]
-            for v in vs], scale
-
-
-def _column_hnf(rows: Sequence) -> tuple[tuple[int, ...], ...]:
-    """Column-style HNF of integer rows of one length."""
-    red = _row_hnf([r[::-1] for r in rows], len(rows[0]) if rows else 0)
-    return tuple(tuple(reversed(r)) for r in reversed(red))
+def _hnf_basis(rows: Sequence, scale: int) -> tuple[Vector, ...]:
+    """Canonical basis of the lattice of integer rows over ``scale``: their
+    HNF, as ``Fraction`` vectors.  As hnf(kL) = k hnf(L), it depends only
+    on the lattice, not on the rows or the scale that present it."""
+    return tuple(tuple(Fraction(c, scale) for c in r)
+                 for r in _column_hnf(rows))
 
 
 def canonical_basis(vectors: Sequence) -> tuple[Vector, ...]:
-    """Presentation-independent canonical basis of the generated lattice.
-
-    Rational generators are rescaled to integers once, brought to HNF, and
-    scaled back; hnf(s*L) = s*hnf(L), so the result does not depend on the
-    chosen scale.
-    """
-    ints, scale = integerize(vectors)
-    return tuple(tuple(Fraction(c, scale) for c in row)
-                 for row in _column_hnf(ints))
+    """Presentation-independent canonical basis of the generated lattice:
+    ``_hnf_basis`` of the vectors rescaled to integer rows."""
+    return _hnf_basis(*integerize(vectors))
 
 
 def lattice_equal(a, b) -> bool:

@@ -8,7 +8,7 @@ in the running sum with the integral MLLL engine of ``latkit.reduction``,
 and each component is such an engine, rebuilt from its rows at a merge.
 The oracle never uses it: it reads the same rows, sorts them by norm
 itself, and takes each component's basis from the Hermite normal form of
-its vertices' rows (``_column_hnf``) over the set's scale.
+its vertices' rows over the set's scale (``_hnf_basis``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
@@ -25,6 +24,7 @@ from .core import (
     LatticeBasis,
     Vector,
     _column_hnf,
+    _hnf_basis,
     _idot,
 )
 from .reduction import DEFAULT_PARAMS, IncrementalLattice, ReductionParams
@@ -129,9 +129,8 @@ def graph_decomposition_oracle(s: GeneratingSet) -> Decomposition:
                 unvisited.discard(j)
                 stack.append(j)
             comp.extend(adjacent)
-        hnf = _column_hnf([vertices[i] for i in comp])
         components.append(LatticeBasis(
-            [[Fraction(c, s.scale) for c in r] for r in hnf]))
+            _hnf_basis([vertices[i] for i in comp], s.scale)))
     return _canonicalize(components)
 
 
@@ -139,6 +138,4 @@ def canonical_component_forms(decomp: Decomposition
                               ) -> tuple[tuple[Vector, ...], ...]:
     """Canonical per-component bases, for equality tests between runs: as
     hnf(kL) = k hnf(L), each is ``canonical_basis`` of its vectors."""
-    return tuple(tuple(tuple(Fraction(x, c.scale) for x in r)
-                       for r in _column_hnf(c.rows))
-                 for c in decomp.components)
+    return tuple(_hnf_basis(c.rows, c.scale) for c in decomp.components)

@@ -63,6 +63,14 @@ def incremental_basis(generators: Sequence, params: ReductionParams =
     return lattice.basis(), UpdateTrace(tuple(records), lattice.swaps)
 
 
+def _bound_ratio(bound_sq, lambda1_sq) -> Fraction:
+    """B^2 / lambda_1^2, for a positive ``lambda1_sq``."""
+    lambda1_sq = Fraction(lambda1_sq)
+    if lambda1_sq <= 0:
+        raise ValueError("lambda1_sq must be positive")
+    return Fraction(bound_sq) / lambda1_sq
+
+
 def update_step_bound_holds(trace: UpdateTrace, d: int, bound_sq,
                             lambda1_sq) -> bool:
     """Exact check of u <= d + log2(d! (B/lambda_1)^d).
@@ -70,24 +78,18 @@ def update_step_bound_holds(trace: UpdateTrace, d: int, bound_sq,
     Evaluated in the squared form 4^(u-d) <= (d!)^2 (B^2/lambda_1^2)^d so no
     irrational quantity is ever formed; trivially true when u <= d.
     """
-    lambda1_sq = Fraction(lambda1_sq)
-    if lambda1_sq <= 0:
-        raise ValueError("lambda1_sq must be positive")
-    bound_sq = Fraction(bound_sq)
+    ratio = _bound_ratio(bound_sq, lambda1_sq)
     u = trace.update_count
     if u <= d:
         return True
     return Fraction(4) ** (u - d) <= \
-        Fraction(math.factorial(d)) ** 2 * (bound_sq / lambda1_sq) ** d
+        Fraction(math.factorial(d)) ** 2 * ratio ** d
 
 
 def update_step_bound_value(d: int, bound_sq, lambda1_sq) -> float:
     """The bound d + log2(d! (B/lambda_1)^d) as a float, for reporting; on
     logs of the ratio's numerator and denominator, so no float overflows."""
-    lambda1_sq = Fraction(lambda1_sq)
-    if lambda1_sq <= 0:
-        raise ValueError("lambda1_sq must be positive")
-    ratio = Fraction(bound_sq) / lambda1_sq
+    ratio = _bound_ratio(bound_sq, lambda1_sq)
     log2_ratio = math.log2(ratio.numerator) - math.log2(ratio.denominator)
     return d + math.log2(math.factorial(d)) + d * log2_ratio / 2
 

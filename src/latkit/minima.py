@@ -21,7 +21,6 @@ from .core import (
     Vector,
     _column_hnf,
     _idot,
-    volume_sq,
 )
 from .reduction import IncrementalLattice
 
@@ -98,7 +97,7 @@ def minkowski_check(basis: LatticeBasis, result: MinimaResult,
     def log_sqrt(x: Fraction) -> float:
         return (math.log(x.numerator) - math.log(x.denominator)) / 2
 
-    log_vol = log_sqrt(volume_sq(basis))
+    log_vol = log_sqrt(basis.volume_sq)
     log_ball = d / 2 * math.log(math.pi) - math.lgamma(d / 2 + 1)
     mid = sum(map(log_sqrt, result.minima_sq)) + log_ball
     upper = d * math.log(2) + log_vol

@@ -24,7 +24,7 @@ from latkit.enumeration import EnumerationRequest
 
 from reference_hnf import _as_vector as as_vector
 from reference_hnf import reference_canonical_basis, reference_hnf
-from reference_linalg import gram_matrix, inner_product, solve_in_span
+from reference_linalg import gram_matrix, inner_product, rank_of, solve_in_span
 
 
 def laplace_det(m) -> F:
@@ -360,6 +360,53 @@ def test_canonical_basis_matches_frozen_reference(rows):
     assert canonical_basis(rows) == reference_canonical_basis(rows)
     ints = [tuple(c * 12 for c in r) for r in rows]     # clears denominators
     assert canonical_basis(ints) == reference_hnf(ints)
+
+
+@st.composite
+def presented_lattice_pairs(draw):
+    """Two families of integer rows of one length, each over a scale in 1,
+    2, 3 and 6 (no rows, zero rows and dependent rows included): the second
+    is the first after unimodular row operations, perhaps with one row
+    doubled, and perhaps over a multiple of the scale.  Each is presented
+    as a ``LatticeBasis`` (when independent), a ``GeneratingSet`` from its
+    rows, or plain vectors; returned with its vectors."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 4))
+    scale = draw(st.sampled_from([1, 2, 3, 6]))
+    rows = [[draw(st.integers(-3, 3)) for _ in range(d)] for _ in range(n)]
+    other = [r[:] for r in rows]
+    for _ in range(draw(st.integers(0, 2 * n)) if n > 1 else 0):
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        s = draw(st.sampled_from([-1, 1]))
+        other[a] = [x + s * y for x, y in zip(other[a], other[b])]
+    if n and draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        other[i] = [2 * x for x in other[i]]
+    k = draw(st.sampled_from([1, 2, 3]))
+    pairs = []
+    for rs, sc in ((rows, scale), ([[k * x for x in r] for r in other],
+                                   k * scale)):
+        vectors = [tuple(F(x, sc) for x in r) for r in rs]
+        kind = draw(st.sampled_from(["basis", "set", "vectors"]))
+        if kind == "basis" and rank_of(vectors) == len(vectors):
+            presented = LatticeBasis(vectors, dim=d)
+        elif kind == "set":
+            bound = F(max((sum(x * x for x in r) for r in rs), default=0),
+                      sc * sc)
+            presented = GeneratingSet.from_rows(rs, sc, bound)
+        else:
+            presented = vectors
+        pairs.append((presented, vectors))
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(presented_lattice_pairs())
+def test_lattice_equal_matches_frozen_reference(pairs):
+    (a, va), (b, vb) = pairs
+    want = reference_canonical_basis(va) == reference_canonical_basis(vb)
+    assert lattice_equal(a, b) == lattice_equal(b, a) == want
 
 
 class TestMixedDimensions:

@@ -31,6 +31,7 @@ from latkit.enumeration import EnumerationRequest
 
 from conftest import scrambled_block_lattices
 from reference_decompose import reference_orthogonal_decomposition
+from reference_hnf import reference_canonical_basis
 from reference_linalg import (
     rank_of,
     reference_graph_decomposition_oracle,
@@ -102,6 +103,25 @@ def test_component_forms_equal_canonical_basis(case, c, t):
     for d in (orthogonal_decomposition(s), graph_decomposition_oracle(s)):
         assert canonical_component_forms(d) == \
             tuple(canonical_basis(c.vectors) for c in d.components)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scrambled_block_lattices(), st.sampled_from([1, 2, 3, 6]),
+       BOUND_FACTORS, st.booleans())
+@example(JOINS_TWO, 1, F(1), False)
+@example(JOINS_TWO, 6, F(1), True)
+def test_component_forms_equal_frozen_reference(case, k, t, pad):
+    # The lattice over 1/k, in one more dimension when padded, enumerated
+    # up to the bound or below it (a set of lower rank): for both routes
+    # each form is the frozen oracle's canonical basis of the component.
+    basis, bound = case
+    rows = [[x / k for x in v] + [0] * pad for v in basis.vectors]
+    s = enumerate_up_to(EnumerationRequest(LatticeBasis(rows),
+                                           t * bound / (k * k)))
+    assume(s.rows)
+    for d in (orthogonal_decomposition(s), graph_decomposition_oracle(s)):
+        assert canonical_component_forms(d) == \
+            tuple(reference_canonical_basis(c.vectors) for c in d.components)
 
 
 ENTRIES = st.sampled_from([F(0), F(1), F(-1), F(2), F(-3), F(1, 2),
