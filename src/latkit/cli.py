@@ -72,7 +72,6 @@ EXIT_CAP = 5
 class LatticeFileError(Exception):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 class UsageError(Exception):
@@ -260,7 +259,7 @@ def cmd_basis(args) -> int:
                 f"volume_sq={format_scalar(rec.volume_sq_after)}")
         lines.append(f"# update_count: {trace.update_count}")
         if basis.rank >= 1:
-            lam1 = first_minimum_sq(basis, params, args.cap)
+            lam1 = first_minimum_sq(basis, args.cap)
             bsq = max(norm_sq(v) for v in rows)
             holds = update_step_bound_holds(trace, basis.rank, bsq, lam1)
             value = update_step_bound_value(basis.rank, bsq, lam1)
@@ -398,7 +397,7 @@ def bench_row(seed: int, d: int, m: int, entry_range: int,
         if gc_enabled:
             gc.enable()
     assert lattice_equal(basis, batch_basis)
-    lam1 = first_minimum_sq(basis, params)
+    lam1 = first_minimum_sq(basis)
     bsq = max(norm_sq(v) for v in gens)
     return {
         "seed": seed,

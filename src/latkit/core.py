@@ -33,27 +33,22 @@ def _idot(u, v) -> int:
 
 
 def _det_bareiss_int(m: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free elimination."""
+    """Determinant of a Gram matrix of integer rows by fraction-free
+    elimination.  The input must be a Gram matrix: each pivot is then the
+    Gram determinant of the leading rows, so a zero pivot means those rows
+    are dependent and the determinant is 0; no row exchange is needed."""
     n = len(m)
     if n == 0:
         return 1
-    sign = 1
     prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+            return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return m[n - 1][n - 1]
 
 
 class LatticeBasis:

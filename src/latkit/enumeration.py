@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import add, neg
 
 from .core import GeneratingSet, LatticeBasis, _idot
-from .reduction import DEFAULT_PARAMS, IncrementalLattice, ReductionParams
+from .reduction import IncrementalLattice
 
 DEFAULT_CAP = 10**6
 
@@ -37,7 +37,6 @@ class EnumerationCapExceeded(RuntimeError):
 
     def __init__(self, cap: int):
         super().__init__(f"enumeration exceeded the cap of {cap} vectors")
-        self.cap = cap
 
 
 @dataclass(frozen=True)
@@ -120,20 +119,18 @@ def enumerate_up_to(req: EnumerationRequest) -> GeneratingSet:
     return GeneratingSet.from_rows(out, scale, req.bound_sq, complete=True)
 
 
-def first_minimum_sq(basis: LatticeBasis,
-                     params: ReductionParams = DEFAULT_PARAMS,
-                     cap: int = DEFAULT_CAP) -> Fraction:
+def first_minimum_sq(basis: LatticeBasis, cap: int = DEFAULT_CAP) -> Fraction:
     """Squared first minimum lambda_1^2 of the lattice.
 
-    Reduces the basis once, then enumerates on that reduction up to its
-    shortest basis vector; that ball is guaranteed to contain a shortest
-    lattice vector.
+    Enumerates up to the shortest vector of the basis given, a ball that
+    holds a shortest lattice vector; the search reduces the basis first.
+    Pass a reduced basis, such as any output of the MLLL engine: on one
+    that is not, the ball, and so the vector count against ``cap``, can be
+    far larger.
     """
     if basis.rank < 1:
         raise ValueError("lattice of rank zero has no first minimum")
-    lat = IncrementalLattice(basis.dim, params, basis.scale)
-    lat.extend(basis.rows)
-    bound = Fraction(min(_idot(r, r) for r in lat.rows), lat.scale ** 2)
-    s = enumerate_up_to(EnumerationRequest(lat, bound, cap))
+    bound = Fraction(min(_idot(r, r) for r in basis.rows), basis.scale ** 2)
+    s = enumerate_up_to(EnumerationRequest(basis, bound, cap))
     row = s.rows[0]
     return Fraction(_idot(row, row), s.scale ** 2)

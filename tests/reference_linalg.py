@@ -6,6 +6,8 @@ form, kept as test code only.
 are copied unchanged, as are ``inner_product`` and ``is_zero_vector``, the
 ``Fraction`` dot product and zero test ``latkit.core`` held;
 ``reference_is_member`` is the old body of ``is_member``.
+``reference_det_bareiss_int`` is ``latkit.core._det_bareiss_int`` as it was
+while it still searched for a row to exchange at a zero pivot.
 ``reference_greedy_minima_oracle`` and ``reference_graph_decomposition_oracle``
 are the two oracles as they were before, so the differential tests can
 require equal results from the integer ones; the graph oracle assembles its
@@ -46,6 +48,30 @@ def gram_matrix(vectors: Sequence[Vector]) -> Matrix:
     return tuple(
         tuple(inner_product(u, v) for v in vectors) for u in vectors
     )
+
+
+def reference_det_bareiss_int(m: list[list[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free elimination."""
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def rank_of(vectors: Sequence[Vector]) -> int:

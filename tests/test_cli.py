@@ -33,6 +33,8 @@ from latkit.cli import (
     parse_lattice_file,
     render_lattice,
 )
+from latkit.decompose import graph_decomposition_oracle
+from latkit.minima import MinimaResult
 from latkit.reduction import IncrementalLattice
 
 import reference_format
@@ -405,12 +407,104 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "parse error: line 3: header promises 3 rows, file has 2\n"
 
+    @pytest.mark.parametrize("content, message", [
+        ("# header next\n2 x\n1 0\n",
+         "line 2: header must be two integers 'd m'"),
+        ("2\n1 0\n", "line 1: header must be two integers 'd m'"),
+        ("2 1 1\n1 0\n", "line 1: header must be two integers 'd m'"),
+        ("0 1\n\n", "line 1: header requires d>=1, m>=1"),
+        ("\n2 0\n", "line 2: header requires d>=1, m>=1"),
+        ("2 -1\n1 0\n", "line 1: header requires d>=1, m>=1"),
+        ("2 1\n1 0\n# one too many\n0 1\n", "line 4: more than 1 data rows"),
+    ], ids=["header-token", "header-short", "header-long", "d-zero",
+            "m-zero", "m-negative", "extra-row"])
+    def test_bad_header_and_extra_rows(self, content, message, tmp_path,
+                                       capsys):
+        code = run_cli(["basis", "FILE"], tmp_path, content)
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err == f"parse error: {message}\n"
+
     def test_minima_has_no_delta(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["minima", "FILE", "--bound-sq", "4", "--delta", "1/2"],
                     tmp_path, DIAG)
         assert exc.value.code == EXIT_PARSE
         assert "--delta" in capsys.readouterr().err
+
+
+DIAG_BASIS_OUT = """\
+# command: basis
+# input: 99c5f777612159b3
+# rank: 2
+# volume_sq: 4
+2 2
+1 0
+0 2
+"""
+DIAG_MINIMA_OUT = """\
+# command: minima
+# input: 99c5f777612159b3
+# minima_sq: 1 4
+# rank: 2
+# partial: false
+2 2
+-1 0
+0 -2
+"""
+DIAG_DECOMPOSE_OUT = """\
+# command: decompose
+# input: 99c5f777612159b3
+# r: 2
+# indices: 1 2
+2 2
+# component 1 rank 1
+-1 0
+# component 2 rank 1
+0 -2
+"""
+
+
+def _z2_oracle(s):
+    """The graph oracle's answer for Z^2, whatever set it is given."""
+    z2 = enumerate_up_to(EnumerationRequest(LatticeBasis([(1, 0), (0, 1)]),
+                                            1))
+    return graph_decomposition_oracle(z2)
+
+
+class TestVerifyFailure:
+    """An oracle that disagrees ends ``--verify`` in exit 3 and one error
+    line, after the command has printed its full output."""
+
+    @pytest.mark.parametrize("command, name, oracle, out, message", [
+        ("basis", "lattice_equal", lambda a, b: False, DIAG_BASIS_OUT,
+         "basis does not match the HNF oracle"),
+        # Only the generating subset disagrees: the basis itself matches.
+        ("basis", "lattice_equal",
+         lambda a, b: isinstance(a, LatticeBasis), DIAG_BASIS_OUT,
+         "basis does not match the HNF oracle"),
+        ("minima", "greedy_minima_oracle",
+         lambda s: MinimaResult((F(1), F(3)), (), 2), DIAG_MINIMA_OUT,
+         "oracle or Minkowski check"),
+        ("minima", "minkowski_check", lambda basis, result: False,
+         DIAG_MINIMA_OUT, "oracle or Minkowski check"),
+        ("decompose", "graph_decomposition_oracle", _z2_oracle,
+         DIAG_DECOMPOSE_OUT, "graph oracle disagrees"),
+    ], ids=["basis", "basis-subset", "minima-greedy", "minima-minkowski",
+            "decompose"])
+    def test_disagreeing_oracle_exits_3(self, command, name, oracle, out,
+                                        message, tmp_path, monkeypatch,
+                                        capsys):
+        monkeypatch.setattr(cli, name, oracle)
+        args = [command, "FILE", "--verify"]
+        if command != "basis":
+            args += ["--bound-sq", "4"]
+        code = run_cli(args, tmp_path, DIAG)
+        captured = capsys.readouterr()
+        assert code == EXIT_VERIFY
+        assert captured.out == out
+        assert captured.err == f"verification failed: {message}\n"
 
 
 class TestMinimaCommand:

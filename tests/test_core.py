@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latkit import (
@@ -10,6 +10,9 @@ from latkit import (
     LatticeBasis,
     canonical_basis,
     enumerate_up_to,
+    first_minimum_sq,
+    graph_decomposition_oracle,
+    greedy_minima_oracle,
     incremental_basis,
     is_member,
     lattice_equal,
@@ -19,12 +22,18 @@ from latkit import (
     successive_minima,
     volume_sq,
 )
-from latkit.core import integerize
+from latkit.core import _det_bareiss_int, integerize
 from latkit.enumeration import EnumerationRequest
 
 from reference_hnf import _as_vector as as_vector
 from reference_hnf import reference_canonical_basis, reference_hnf
-from reference_linalg import gram_matrix, inner_product, rank_of, solve_in_span
+from reference_linalg import (
+    gram_matrix,
+    inner_product,
+    rank_of,
+    reference_det_bareiss_int,
+    solve_in_span,
+)
 
 
 def laplace_det(m) -> F:
@@ -349,6 +358,39 @@ def test_basis_volume_is_the_gram_determinant(rows):
         assert LatticeBasis(rows).volume_sq == det
 
 
+@st.composite
+def gram_rows(draw):
+    """Integer rows, some made dependent on purpose: a zero row, a multiple
+    of an earlier row or the sum of two earlier rows, put in any place."""
+    d = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * d),
+                         max_size=d + 1))
+    for kind in draw(st.lists(st.sampled_from(["zero", "multiple", "sum"]),
+                              max_size=3)):
+        if kind == "zero" or not rows:
+            row = (0,) * d
+        elif kind == "multiple":
+            k = draw(st.integers(-3, 3))
+            row = tuple(k * c for c in draw(st.sampled_from(rows)))
+        else:
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            row = tuple(a + b for a, b in zip(u, v))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows
+
+
+@settings(max_examples=500, deadline=None)
+@given(gram_rows())
+@example([(0, 0), (1, 0), (0, 1)])
+@example([(1, 2, 0), (2, 4, 0), (0, 1, 1), (1, 0, 1)])
+def test_det_bareiss_matches_frozen_reference(rows):
+    """The Gram determinant without the pivot search against the frozen
+    elimination that exchanged rows at a zero pivot."""
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows]
+    want = reference_det_bareiss_int([r[:] for r in gram])
+    assert _det_bareiss_int([r[:] for r in gram]) == want
+
+
 def test_dependent_rational_basis_raises():
     with pytest.raises(ValueError, match="linearly dependent"):
         LatticeBasis([(F(1, 2), F(1, 3)), (F(3, 2), 1)])
@@ -429,6 +471,28 @@ class TestMixedDimensions:
         with pytest.raises(ValueError,
                            match="^vectors have mixed dimensions$"):
             build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LatticeBasis([(1, 0)], dim=3),
+     "dim does not match vector length"),
+    (lambda: lattice_equal([(1, 0)], [(1, 0, 0)]),
+     "ambient dimensions differ"),
+    (lambda: graph_decomposition_oracle(GeneratingSet([], 1, complete=True)),
+     "generating set is empty"),
+    (lambda: graph_decomposition_oracle(GeneratingSet([(1, 0)], 1)),
+     "orthogonal decomposition requires a complete set"),
+    (lambda: greedy_minima_oracle(GeneratingSet([], 1, complete=True)),
+     "generating set is empty"),
+    (lambda: first_minimum_sq(LatticeBasis((), dim=2)),
+     "lattice of rank zero has no first minimum"),
+], ids=["LatticeBasis-dim", "lattice_equal-dims", "graph-oracle-empty",
+        "graph-oracle-incomplete", "greedy-oracle-empty",
+        "first_minimum_sq-rank-0"])
+def test_input_guards(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$") as err:
+        build()
+    assert type(err.value) is ValueError
 
 
 @settings(max_examples=200, deadline=None)
