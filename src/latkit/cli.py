@@ -6,8 +6,9 @@ files are plain text: a header line "d m", then m whitespace-separated rows
 of d rational literals; '#' starts a comment.  All primary output is itself
 a valid lattice file (metadata goes into comment lines).
 
-Exit codes: 0 ok, 2 parse error, bad option value or unreadable input,
-3 verification mismatch, 4 insufficient bound, 5 enumeration cap exceeded.
+Exit codes: 0 ok, 2 parse error, bad option value, unreadable input or
+unwritable standard output, 3 verification mismatch, 4 insufficient bound,
+5 enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import functools
 import gc
 import itertools
 import math
+import os
 import random
 import re
 import sys
@@ -69,13 +71,20 @@ EXIT_BOUND = 4
 EXIT_CAP = 5
 
 
-class LatticeFileError(Exception):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-
-
 class UsageError(Exception):
-    """An option value or input file the command cannot use (exit 2)."""
+    """A failure that ends the command: ``main`` prints ``prefix: message``
+    as the one line on stderr and returns ``code``.  By default an option
+    value or input file the command cannot use (exit 2)."""
+
+    def __init__(self, message: str, code: int = EXIT_PARSE,
+                 prefix: str = "error"):
+        super().__init__(message)
+        self.code, self.prefix = code, prefix
+
+
+class LatticeFileError(UsageError):
+    def __init__(self, line_no: int, message: str):
+        super().__init__(f"line {line_no}: {message}", prefix="parse error")
 
 
 def format_scalar(x) -> str:
@@ -104,11 +113,25 @@ class ExponentLimitError(ValueError):
     """A decimal exponent past the int-to-str digit limit in magnitude."""
 
 
-def _fraction(token: str) -> Fraction:
-    """``Fraction(token)``, but a decimal exponent past the int-to-str digit
-    limit in magnitude raises before ``Fraction`` raises 10 to it (seconds
-    for ``1e10000000``), as the value in digits would.  A token malformed
-    with its digits zeroed is malformed as is: ``Fraction`` reports it."""
+def _literal(token: str):
+    """The value of one rational literal, a file entry or an option value:
+    an ``int`` when the token is an integer literal, else a ``Fraction``,
+    always equal to ``Fraction(token)``.
+
+    ``int`` takes only ASCII tokens without ``_``: on Python 3.10
+    ``int('1_000')`` is 1000 but ``Fraction('1_000')`` raises.  Every other
+    token, and every token ``int`` rejects (``3/0``, ``1.5``, more digits
+    than the conversion limit), goes to ``Fraction``, which raises the
+    error.  Before that, a decimal exponent past the int-to-str digit limit
+    in magnitude raises ``ExponentLimitError``, before ``Fraction`` raises
+    10 to it (seconds for ``1e10000000``), as the value in digits would.  A
+    token malformed with its digits zeroed is malformed as is: ``Fraction``
+    reports it."""
+    if token.isascii() and "_" not in token:
+        try:
+            return int(token)
+        except ValueError:
+            pass
     m = re.search(r"[eE][-+]?([\d_]+)\s*\Z", token)
     limit = sys.get_int_max_str_digits()
     if m and limit:
@@ -120,23 +143,6 @@ def _fraction(token: str) -> Fraction:
             raise ExponentLimitError(
                 f"decimal exponent exceeds the limit ({limit})")
     return Fraction(token)
-
-
-def _literal(token: str):
-    """The value of one rational literal: an ``int`` when the token is an
-    integer literal, else a ``Fraction``, always equal to ``Fraction(token)``.
-
-    ``int`` takes only ASCII tokens without ``_``: on Python 3.10
-    ``int('1_000')`` is 1000 but ``Fraction('1_000')`` raises.  Every other
-    token, and every token ``int`` rejects (``3/0``, ``1.5``, more digits
-    than the conversion limit), goes to ``_fraction``, which raises the
-    error."""
-    if token.isascii() and "_" not in token:
-        try:
-            return int(token)
-        except ValueError:
-            pass
-    return _fraction(token)
 
 
 def parse_lattice_file(text: str) -> tuple[int, int, list[tuple]]:
@@ -200,7 +206,7 @@ def _digest(text: str) -> str:
 
 def _rational_option(name: str, value: str) -> Fraction:
     try:
-        return _fraction(value)
+        return Fraction(_literal(value))
     except ExponentLimitError as exc:
         raise UsageError(f"{name}: {exc}, got {value!r}")
     except (ValueError, ZeroDivisionError):
@@ -235,7 +241,7 @@ def _bound_sq(args) -> Fraction:
     raise UsageError("one of --bound-sq / --bound is required")
 
 
-def cmd_basis(args) -> int:
+def cmd_basis(args) -> None:
     params = _params(args)
     _at_least("--cap", [args.cap], 0)
     text = _read_input(args.file)
@@ -270,10 +276,8 @@ def cmd_basis(args) -> int:
     if args.verify:
         subset = generating_subset(rows, trace)
         if not lattice_equal(basis, rows) or not lattice_equal(subset, rows):
-            print("verification failed: basis does not match the HNF oracle",
-                  file=sys.stderr)
-            return EXIT_VERIFY
-    return EXIT_OK
+            raise UsageError("basis does not match the HNF oracle",
+                             EXIT_VERIFY, "verification failed")
 
 
 def _input_lattice(args) -> tuple[str, int, list[tuple], IncrementalLattice,
@@ -295,11 +299,10 @@ def _input_lattice(args) -> tuple[str, int, list[tuple], IncrementalLattice,
     return text, d, rows, lat, s
 
 
-def cmd_minima(args) -> int:
+def cmd_minima(args) -> None:
     text, d, rows, lat, s = _input_lattice(args)
     if not s.rows:
-        print("error: bound below first minimum", file=sys.stderr)
-        return EXIT_BOUND
+        raise UsageError("bound below first minimum", EXIT_BOUND)
     result = successive_minima(s, expected_rank=lat.rank)
     lines = [
         f"# command: minima",
@@ -318,13 +321,11 @@ def cmd_minima(args) -> int:
             # never from the engine the minima were found on.
             ok = minkowski_check(LatticeBasis(rows), result)
         if not ok:
-            print("verification failed: oracle or Minkowski check",
-                  file=sys.stderr)
-            return EXIT_VERIFY
-    return EXIT_OK
+            raise UsageError("oracle or Minkowski check", EXIT_VERIFY,
+                             "verification failed")
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> None:
     params = _params(args)
     text, d, _, lat, s = _input_lattice(args)
     decomp = orthogonal_decomposition(s, params) if s.rows else None
@@ -333,11 +334,9 @@ def cmd_decompose(args) -> int:
     comps = decomp.components if decomp else ()
     if not comps or sum(c.rank for c in comps) != lat.rank or \
             math.prod(c.volume_sq for c in comps) != lat.volume_sq:
-        print(
-            f"error: insufficient bound: the {len(s.rows)} enumerated "
-            f"vectors do not generate the full rank-{lat.rank} lattice",
-            file=sys.stderr)
-        return EXIT_BOUND
+        raise UsageError(
+            f"insufficient bound: the {len(s.rows)} enumerated vectors do "
+            f"not generate the full rank-{lat.rank} lattice", EXIT_BOUND)
     lines = [
         f"# command: decompose",
         f"# input: {_digest(text)}",
@@ -353,10 +352,8 @@ def cmd_decompose(args) -> int:
         oracle = graph_decomposition_oracle(s)
         if canonical_component_forms(decomp) != \
                 canonical_component_forms(oracle):
-            print("verification failed: graph oracle disagrees",
-                  file=sys.stderr)
-            return EXIT_VERIFY
-    return EXIT_OK
+            raise UsageError("graph oracle disagrees", EXIT_VERIFY,
+                             "verification failed")
 
 
 def random_instance(rng: random.Random, d: int, m: int, entry_range: int,
@@ -420,7 +417,7 @@ def _at_least(name: str, values: list[int], low: int) -> None:
             raise UsageError(f"{name} must be at least {low}, got {x}")
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> None:
     dims = _int_list("--dims", args.dims)
     counts = _int_list("--gen-counts", args.gen_counts)
     _at_least("--dims", dims, 1)
@@ -436,7 +433,6 @@ def cmd_bench(args) -> int:
         print(f"{row['seed']},{row['d']},{row['m']},"
               f"{row['update_count']},{row['theorem_bound']:.6f},"
               f"{row['t_incremental']:.6f},{row['t_batch_mlll']:.6f}")
-    return EXIT_OK
 
 
 @functools.cache
@@ -495,15 +491,37 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; the one place where a failure becomes an exit code
+    and a line on stderr."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except LatticeFileError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (UsageError, EnumerationCapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE if isinstance(exc, UsageError) else EXIT_CAP
+        try:
+            args.func(args)
+        finally:
+            # A closed stdout fails here if no print has filled the buffer.
+            if sys.stdout is not None:
+                sys.stdout.flush()
+        return EXIT_OK
+    except BrokenPipeError as exc:
+        # The reader of stdout has exited.  What is left in the buffer goes
+        # to the null device, so that the flush at exit cannot fail again.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        code = EXIT_PARSE
+        line = f"error: cannot write standard output: {exc.strerror}"
+    except EnumerationCapExceeded as exc:
+        code, line = EXIT_CAP, f"error: {exc}"
+    except UsageError as exc:
+        code, line = exc.code, f"{exc.prefix}: {exc}"
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        # Stderr is closed too: its buffer goes to the null device as well.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stderr.fileno())
+        os.close(null)
+    return code
 
 
 if __name__ == "__main__":

@@ -70,6 +70,8 @@ def greedy_minima_oracle(s: GeneratingSet) -> MinimaResult:
     order of ``s``, since that order is part of what it checks."""
     if not s.rows:
         raise ValueError("generating set is empty")
+    if not s.complete:
+        raise ValueError("successive minima require a complete set")
     kept: list[tuple[int, ...]] = []
     minima: list[Fraction] = []
     for n, row in sorted((_idot(r, r), r) for r in s.rows):

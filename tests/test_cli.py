@@ -137,7 +137,8 @@ class TestParsing:
         # The parser's value of a token is Fraction(token), an int when it
         # is integral; where Fraction(token) raises, the parser reports the
         # same error type and message.  A well-formed decimal exponent past
-        # the int-to-str digit limit is refused instead.
+        # the int-to-str digit limit is refused instead.  A rational option
+        # value reads the token alike, with its own messages.
         try:
             want = F(token)
         except (ValueError, ZeroDivisionError) as exc:
@@ -145,19 +146,32 @@ class TestParsing:
                 parse_lattice_file(f"1 1\n{token}\n")
             assert str(err.value) == f"line 2: bad rational literal: {exc}"
             assert type(err.value.__context__) is type(exc)
+            with pytest.raises(cli.UsageError) as err:
+                cli._rational_option("--bound-sq", token)
+            assert str(err.value) == \
+                f"--bound-sq must be a rational number, got {token!r}"
             return
         *_, exponent = re.split("[eE]", token)
-        if exponent != token and \
-                abs(int(exponent)) > sys.get_int_max_str_digits():
+        limit = sys.get_int_max_str_digits()
+        if exponent != token and abs(int(exponent)) > limit:
             with pytest.raises(LatticeFileError, match=(
                     r"^line 2: bad rational literal: decimal exponent "
                     r"exceeds the limit \(\d+\)$")):
                 parse_lattice_file(f"1 1\n{token}\n")
+            with pytest.raises(cli.UsageError) as err:
+                cli._rational_option("--bound-sq", token)
+            assert str(err.value) == (
+                f"--bound-sq: decimal exponent exceeds the limit ({limit}), "
+                f"got {token!r}")
             return
         [(got,)] = parse_lattice_file(f"1 1\n{token}\n")[2]
         assert got == want
         assert type(got) in (int, F)
         assert (type(got) is int) == bool(re.fullmatch(r"[+-]?[0-9]+", token))
+        # Option values are read by the same code, and reach the library
+        # as Fractions.
+        option = cli._rational_option("--bound-sq", token)
+        assert option == want and type(option) is F
 
     def test_entries_are_int_or_fraction(self):
         _, _, rows = parse_lattice_file("2 3\n1/2 -3\n٣/٤ 007\n+5 -0\n")
@@ -802,6 +816,51 @@ class TestEntryPoint:
         assert proc.returncode == EXIT_PARSE
         assert proc.stdout == ""
         assert re.fullmatch(r"(parse )?error: [^\n]*\n", proc.stderr)
+
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("args, content", [
+        # Over 8 KB of output: a print fills the buffer of a buffered
+        # stdout before the last flush.
+        (["basis", "FILE", "--trace"], f"2 2\n{'9' * 4300} 1\n0 2\n"),
+        (["minima", "FILE", "--bound-sq", "4"], DIAG),
+        (["decompose", "FILE", "--bound-sq", "4", "--verify"], DIAG),
+        (["bench", "--reps", "1", "--gen-counts", "6"], None),
+    ], ids=["basis", "minima", "decompose", "bench"])
+    def test_closed_stdout_exits_2(self, args, content, unbuffered,
+                                   tmp_path):
+        """A reader of stdout that has exited (``latkit ... | head -1``)
+        ends the command in exit 2 and one error line, from a print or
+        from the last flush; with stderr closed too, still in exit 2.  The
+        read ends are closed before the run, where ``head`` would race the
+        writer."""
+        path = tmp_path / "input.lat"
+        if content is not None:
+            path.write_text(content)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {k: v for k, v in os.environ.items()
+               if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(src)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = [sys.executable, "-m", "latkit.cli",
+                *(str(path) if a == "FILE" else a for a in args)]
+        out_read, out = os.pipe()
+        err_read, err = os.pipe()
+        os.close(out_read)
+        os.close(err_read)
+        try:
+            proc = subprocess.run(argv, stdout=out, stderr=subprocess.PIPE,
+                                  env=env, timeout=60)
+            both = subprocess.run(argv, stdout=out, stderr=err, env=env,
+                                  timeout=60)
+        finally:
+            os.close(out)
+            os.close(err)
+        assert proc.returncode == EXIT_PARSE
+        assert proc.stderr == \
+            b"error: cannot write standard output: Broken pipe\n"
+        assert both.returncode == EXIT_PARSE
 
     def test_console_script_installed(self, tmp_path):
         path = tmp_path / "z2.lat"

@@ -484,11 +484,13 @@ class TestMixedDimensions:
      "orthogonal decomposition requires a complete set"),
     (lambda: greedy_minima_oracle(GeneratingSet([], 1, complete=True)),
      "generating set is empty"),
+    (lambda: greedy_minima_oracle(GeneratingSet([(1, 0)], 1)),
+     "successive minima require a complete set"),
     (lambda: first_minimum_sq(LatticeBasis((), dim=2)),
      "lattice of rank zero has no first minimum"),
 ], ids=["LatticeBasis-dim", "lattice_equal-dims", "graph-oracle-empty",
         "graph-oracle-incomplete", "greedy-oracle-empty",
-        "first_minimum_sq-rank-0"])
+        "greedy-oracle-incomplete", "first_minimum_sq-rank-0"])
 def test_input_guards(build, message):
     with pytest.raises(ValueError, match=f"^{message}$") as err:
         build()
