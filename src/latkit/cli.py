@@ -14,6 +14,7 @@ unwritable standard output, 3 verification mismatch, 4 insufficient bound,
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import gc
 import itertools
@@ -171,7 +172,12 @@ def parse_lattice_file(text: str) -> tuple[int, int, list[tuple]]:
             raise LatticeFileError(
                 line_no, f"expected {d} entries, got {len(tokens)}")
         try:
-            rows.append(tuple(map(_literal, tokens)))
+            try:    # one int pass, or _literal per token if int rejects one
+                if not line.isascii() or "_" in line:
+                    raise ValueError
+                rows.append(tuple(map(int, tokens)))
+            except ValueError:
+                rows.append(tuple(map(_literal, tokens)))
         except (ValueError, ZeroDivisionError) as exc:
             raise LatticeFileError(line_no, f"bad rational literal: {exc}")
         if len(rows) > m:
@@ -191,11 +197,19 @@ def render_lattice(vectors: Sequence[Vector], dim: int) -> list[str]:
 
 def _read_input(path: str) -> str:
     try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path) as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        if path != "-":
+            with open(path) as fh:
+                return fh.read()
+        if sys.stdin is None:       # started with standard input closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        text = sys.stdin.read()
+        if not text.isascii():
+            # Under a POSIX locale stdin decodes with surrogateescape: a
+            # byte that is not UTF-8 arrives as a lone surrogate.  Decode
+            # the original bytes again, strictly, as a file is read.
+            text.encode("utf-8", "surrogateescape").decode()
+        return text
+    except (OSError, UnicodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise UsageError(f"cannot read {path}: {reason}")
 
@@ -501,6 +515,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # A closed stdout fails here if no print has filled the buffer.
             if sys.stdout is not None:
                 sys.stdout.flush()
+        if sys.stdout is None:      # started with standard output closed
+            raise UsageError("cannot write standard output: "
+                             + os.strerror(errno.EBADF))
         return EXIT_OK
     except BrokenPipeError as exc:
         # The reader of stdout has exited.  What is left in the buffer goes

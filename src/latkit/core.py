@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -183,20 +184,20 @@ class GeneratingSet:
 
 def integerize(vectors: Iterable) -> tuple[list[list[int]], int]:
     """Rescale rational vectors by the lcm of all denominators: integer rows
-    and that common denominator.
-
-    ``int`` and ``Fraction`` entries are read as they are, anything else
-    through ``Fraction(c)``; at a common denominator of 1 the rows are the
-    numerators.  Vectors of different lengths raise ``ValueError``."""
-    vs = [[c if type(c) is int or type(c) is Fraction else Fraction(c)
-           for c in v] for v in vectors]
-    if len({len(v) for v in vs}) > 1:
+    and that common denominator.  All-``int`` rows come back as they are;
+    otherwise ``int`` and ``Fraction`` entries are read as they are, anything
+    else through ``Fraction(c)``.  Vectors of different lengths raise."""
+    vs = list(map(list, vectors))
+    scale = 1
+    if not {*map(type, chain.from_iterable(vs))} <= {int}:
+        vs = [[c if type(c) is int or type(c) is Fraction else Fraction(c)
+               for c in v] for v in vs]
+        scale = math.lcm(*{c.denominator for v in vs for c in v})
+        vs = [[c.numerator * (scale // c.denominator) for c in v]
+              for v in vs]
+    if len({*map(len, vs)}) > 1:
         raise ValueError("vectors have mixed dimensions")
-    scale = math.lcm(*{c.denominator for v in vs for c in v})
-    if scale == 1:
-        return [[c.numerator for c in v] for v in vs], 1
-    return [[c.numerator * (scale // c.denominator) for c in v]
-            for v in vs], scale
+    return vs, scale
 
 
 def _column_hnf(rows: Sequence) -> tuple[tuple[int, ...], ...]:

@@ -176,7 +176,10 @@ class IncrementalLattice:
     # -- the MLLL loop --------------------------------------------------
     def _add(self, row: Sequence[int], lam_row: list[int], dn: int) -> None:
         """Append b_n and run the swap loop from k = n until the basis is
-        reduced again."""
+        reduced again: size reduction by r = floor(mu_kl + 1/2) when |mu_kl|
+        > 1/2, and the exchange of slots k-1 and k by SWAPI (Cohen, Alg.
+        2.6.7), which also moves a zero slot k with lambda_{k,k-1} = 0 down:
+        as d_{k+1} = d_k and lambda_.k = 0, d_k becomes d_{k-1}."""
         rows, d, lam = self.rows, self.d, self.lam
         n = len(rows)
         rows.append(row)
@@ -188,81 +191,68 @@ class IncrementalLattice:
         else:
             d.append(dn)
         p, q = self._p, self._q
+        swaps = 0
         k = max(n, 1)
         while k < len(rows):
+            k1 = k - 1
             lk = lam[k]
-            if 2 * abs(lk[k - 1]) > d[k]:
-                self._red(k, k - 1)
-            if k == z:
-                self.swaps += 1
-                if lam[k][k - 1]:
-                    self._swap_dependent(k)
-                else:
-                    self._swap(k)
-                    z = k - 1
+            x = lk[k1]
+            dk = d[k]
+            if 2 * abs(x) > dk:
+                r = (2 * x + dk) // (2 * dk)
+                rows[k] = [a - r * c for a, c in zip(rows[k], rows[k1])]
+                x -= r * dk
+                lk[k1] = x
+                ll = lam[k1]
+                for i in range(k1):
+                    lk[i] -= r * ll[i]
+            dependent = k == z
+            # Lovász condition met: size-reduce by the other slots, go on.
+            if not dependent and \
+                    q * (d[k + 1] * d[k1] + x * x) >= p * dk * dk:
+                for l in range(k1 - 1, -1, -1):
+                    y = lk[l]
+                    dl = d[l + 1]
+                    if 2 * abs(y) > dl:
+                        r = (2 * y + dl) // (2 * dl)
+                        rows[k] = [a - r * c
+                                   for a, c in zip(rows[k], rows[l])]
+                        lk[l] = y - r * dl
+                        ll = lam[l]
+                        for i in range(l):
+                            lk[i] -= r * ll[i]
+                k += 1
+                continue
+            # Exchange b_{k-1} and b_k; the new lambda_{k,k-1} is x.
+            swaps += 1
+            rows[k1], rows[k] = rows[k], rows[k1]
+            lam[k] = lam[k1] + [x]
+            lam[k1] = lk[:k1]
+            if dependent and x:
+                self._swap_dependent(k, x)
+            else:               # SWAPI
+                dk1 = d[k + 1]
+                b = (d[k1] * dk1 + x * x) // dk
+                for i in range(k + 1, len(lam)):
+                    li = lam[i]
+                    t = li[k]
+                    li[k] = (dk1 * li[k1] - x * t) // dk
+                    li[k1] = (b * t + x * li[k]) // dk1
+                d[k] = b
+                if dependent:
+                    z = k1
                     if z == 0:
                         self._drop_front()
                         z = None
                         continue      # k = 1: the slot after the dropped one
-                k = max(1, k - 1)
-                continue
-            x = lk[k - 1]
-            if q * (d[k + 1] * d[k - 1] + x * x) < p * d[k] * d[k]:
-                self.swaps += 1
-                self._swap(k)
-                k = max(1, k - 1)
-            else:
-                for l in range(k - 2, -1, -1):
-                    if 2 * abs(lk[l]) > d[l + 1]:
-                        self._red(k, l)
-                k += 1
+            k = max(1, k1)
+        self.swaps += swaps
 
-    def _red(self, k: int, l: int) -> None:
-        """Size-reduce b_k by b_l, called when |mu_kl| > 1/2 (so slot l has
-        b* != 0): subtract q b_l with q = floor(mu_kl + 1/2)."""
-        lk = self.lam[k]
-        x = lk[l]
-        dl = self.d[l + 1]
-        q = (2 * x + dl) // (2 * dl)
-        rows = self.rows
-        rows[k] = [a - q * c for a, c in zip(rows[k], rows[l])]
-        lk[l] = x - q * dl
-        ll = self.lam[l]
-        for i in range(l):
-            lk[i] -= q * ll[i]
-
-    def _swap_rows(self, k: int, x: int) -> None:
-        """Exchange b_{k-1} and b_k with their lambda entries below k-1;
-        the new lambda_{k,k-1} is x."""
-        rows, lam = self.rows, self.lam
-        rows[k - 1], rows[k] = rows[k], rows[k - 1]
-        old_k1 = lam[k - 1]
-        lam[k - 1] = lam[k][:k - 1]
-        lam[k] = old_k1 + [x]
-
-    def _swap(self, k: int) -> None:
-        """Swap slots k-1 and k, b*_{k-1} != 0 (Cohen, Alg. 2.6.7, SWAPI).
-        A zero slot k with lambda_{k,k-1} = 0 moves to k-1: as d_{k+1} = d_k
-        and lambda_.k = 0, d_k becomes d_{k-1} and lambda_.{k-1} moves up."""
+    def _swap_dependent(self, k: int, x: int) -> None:
+        """Slot k had b* = 0 and mu_{k,k-1} = x/d_k != 0.  After the exchange
+        the new b*_{k-1} is mu times the old one and slot k still has b* = 0,
+        so d_k and every later d_j and lambda_.j scale by mu^2."""
         d, lam = self.d, self.lam
-        x = lam[k][k - 1]
-        self._swap_rows(k, x)
-        dk, dk1 = d[k], d[k + 1]
-        b = (d[k - 1] * dk1 + x * x) // dk
-        for i in range(k + 1, len(lam)):
-            li = lam[i]
-            t = li[k]
-            li[k] = (dk1 * li[k - 1] - x * t) // dk
-            li[k - 1] = (b * t + x * li[k]) // dk1
-        d[k] = b
-
-    def _swap_dependent(self, k: int) -> None:
-        """Slot k has b* = 0 and mu = mu_{k,k-1} != 0.  After the swap the
-        new b*_{k-1} is mu times the old one and slot k still has b* = 0, so
-        d_k and every later d_j and lambda_.j scale by mu^2 = x^2/d_k^2."""
-        d, lam = self.d, self.lam
-        x = lam[k][k - 1]
-        self._swap_rows(k, x)
         dk = d[k]
         x2 = x * x
         dk2 = dk * dk

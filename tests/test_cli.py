@@ -108,7 +108,8 @@ class TestParsing:
             parse_lattice_file("# nothing here\n")
 
     @settings(max_examples=500, deadline=None)
-    @given(literal_tokens())
+    @given(st.one_of(literal_tokens(), st.lists(
+        literal_tokens(), min_size=2, max_size=4).map(" ".join)))
     @example("-0")
     @example("007")
     @example("+5")
@@ -133,12 +134,36 @@ class TestParsing:
     @example("١e٤٣٠١")
     @example("1e5000")
     @example("E5000")
-    def test_entry_equals_fraction_of_token(self, token):
+    @example("-0 007 +5 12")
+    @example("1 ٣/٤")
+    @example("1/2 -3")
+    @example("1 3/0")
+    @example("1_0 2")
+    @example("2 " + "9" * 5000)
+    def test_entry_equals_fraction_of_token(self, line):
+        # A line of 1-4 tokens reads as _literal reads each token, with the
+        # same type per entry, or fails with _literal's message: a line of
+        # ASCII integers takes one int pass, any other line _literal.
+        tokens = line.split()
+        text = f"{len(tokens)} 1\n{line}\n"
+        try:
+            want = tuple(map(cli._literal, tokens))
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(LatticeFileError) as err:
+                parse_lattice_file(text)
+            assert str(err.value) == f"line 2: bad rational literal: {exc}"
+        else:
+            [row] = parse_lattice_file(text)[2]
+            assert row == want
+            assert list(map(type, row)) == list(map(type, want))
+        if len(tokens) > 1:
+            return
         # The parser's value of a token is Fraction(token), an int when it
         # is integral; where Fraction(token) raises, the parser reports the
         # same error type and message.  A well-formed decimal exponent past
         # the int-to-str digit limit is refused instead.  A rational option
         # value reads the token alike, with its own messages.
+        [token] = tokens
         try:
             want = F(token)
         except (ValueError, ZeroDivisionError) as exc:
@@ -352,6 +377,38 @@ class TestExitCodes:
             io.BytesIO(b"1 1\n\xff\n"), encoding="utf-8"))
         code = main(["basis", "-"])
         self._check(code, EXIT_PARSE, capsys)
+
+    def test_closed_stdin(self, monkeypatch, capsys):
+        # An interpreter started with stdin closed has sys.stdin None.
+        monkeypatch.setattr(sys, "stdin", None)
+        code = main(["basis", "-"])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == \
+            "error: cannot read -: Bad file descriptor\n"
+
+    def test_surrogate_escaped_stdin(self, monkeypatch, capsys):
+        # Under a POSIX locale stdin decodes with surrogateescape, so the
+        # byte 0xff in a comment arrives as "\udcff": the error is that of
+        # decoding the original bytes, as for a file.
+        monkeypatch.setattr(sys, "stdin", io.StringIO("# \udcff\n1 1\n3\n"))
+        code = main(["basis", "-"])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "error: cannot read -: 'utf-8' codec can't decode byte 0xff in "
+            "position 2: invalid start byte\n")
+
+    @pytest.mark.parametrize("args", [
+        ["basis", "FILE"], ["minima", "FILE", "--bound-sq", "4"],
+        ["decompose", "FILE", "--bound-sq", "4"],
+        ["bench", "--reps", "1", "--gen-counts", "6"]])
+    def test_closed_stdout(self, args, monkeypatch, tmp_path, capsys):
+        # An interpreter started with stdout closed has sys.stdout None,
+        # where print writes nothing: the output would be lost.
+        monkeypatch.setattr(sys, "stdout", None)
+        code = run_cli(args, tmp_path, DIAG)
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == \
+            "error: cannot write standard output: Bad file descriptor\n"
 
     @pytest.mark.parametrize("command", ["minima", "decompose"])
     def test_bound_sq_with_bound(self, command, tmp_path, capsys):
@@ -861,6 +918,26 @@ class TestEntryPoint:
         assert proc.stderr == \
             b"error: cannot write standard output: Broken pipe\n"
         assert both.returncode == EXIT_PARSE
+
+    def test_non_utf8_comment_on_stdin_exits_2(self, tmp_path):
+        """The bytes that fail as a file fail alike on stdin, which the
+        interpreter decodes with surrogateescape under the C locale."""
+        path = tmp_path / "comment_ff.lat"
+        path.write_bytes(b"1 1\n# \xff\n3\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), LC_ALL="C")
+        for var in ("PYTHONIOENCODING", "PYTHONUTF8"):
+            env.pop(var, None)
+        for name in ("-", str(path)):
+            with path.open("rb") as stdin:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "latkit.cli", "basis", name],
+                    stdin=stdin, capture_output=True, env=env, timeout=60)
+            assert proc.returncode == EXIT_PARSE
+            assert proc.stdout == b""
+            assert proc.stderr == (
+                f"error: cannot read {name}: 'utf-8' codec can't decode "
+                f"byte 0xff in position 6: invalid start byte\n").encode()
 
     def test_console_script_installed(self, tmp_path):
         path = tmp_path / "z2.lat"

@@ -26,6 +26,7 @@ from latkit.core import _det_bareiss_int, integerize
 from latkit.enumeration import EnumerationRequest
 
 from reference_hnf import _as_vector as as_vector
+from reference_hnf import _integerize as reference_integerize
 from reference_hnf import reference_canonical_basis, reference_hnf
 from reference_linalg import (
     gram_matrix,
@@ -397,11 +398,26 @@ def test_dependent_rational_basis_raises():
 
 
 @settings(max_examples=300, deadline=None)
-@given(rational_rows(lambda d: d + 3))
-def test_canonical_basis_matches_frozen_reference(rows):
+@given(rational_rows(lambda d: d + 3), st.data())
+def test_canonical_basis_matches_frozen_reference(rows, data):
     assert canonical_basis(rows) == reference_canonical_basis(rows)
-    ints = [tuple(c * 12 for c in r) for r in rows]     # clears denominators
+    ints = [tuple(int(c * 12) for c in r) for r in rows]  # clears denominators
     assert canonical_basis(ints) == reference_hnf(ints)
+    # integerize returns all-int rows as they are, at scale 1; bool entries
+    # take the Fraction path and come back as int.  No rows, or rows of two
+    # lengths, go through it too.
+    if data.draw(st.booleans()):
+        ints = [tuple(data.draw(st.sampled_from([c, False, True]))
+                      for c in r) for r in ints]
+    if ints and data.draw(st.booleans()):
+        ints.append(ints[0] + (1,))
+        with pytest.raises(ValueError,
+                           match="^vectors have mixed dimensions$"):
+            integerize(ints)
+        return
+    got = integerize(ints)
+    assert got == reference_integerize(ints)
+    assert {type(c) for r in got[0] for c in r} <= {int}
 
 
 @st.composite

@@ -3,13 +3,16 @@
 The engine must reproduce the rational MLLL it replaced exactly: the same
 basis vectors in the same order, the same trace records, the same membership
 answers as ``is_member``, and a lattice equal to the HNF oracle's.
-``reference_mlll`` holds the frozen rational code.  ``insert`` answers a row
-given to it before, or its negation, from its known-row set; the pool
-families repeat, negate and double rows to exercise that set.
+``reference_mlll`` holds the frozen rational code, ``reference_engine`` the
+integral swap loop as it was before it became one method, which must leave
+the same state after every step.  ``insert`` answers a row given to it
+before, or its negation, from its known-row set; the pool families repeat,
+negate and double rows to exercise that set.
 """
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +23,10 @@ from latkit import (
     lattice_equal,
     mlll,
 )
+from latkit.cli import bench_row
 from latkit.reduction import IncrementalLattice
 
+from reference_engine import ReferenceLattice
 from reference_mlll import reference_incremental_basis, reference_mlll
 
 DELTAS = [F(26, 100), F(3, 4), F(99, 100), F(1)]
@@ -146,3 +151,41 @@ def test_permuted_generators_match_hnf_oracle(family, params, rng):
     basis, _ = incremental_basis(perm, params)
     assert lattice_equal(basis, gens)
     assert lattice_equal(mlll(perm, params), gens)
+
+
+def _state(lattice):
+    return lattice.rows, lattice.d, lattice.lam, lattice.swaps
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_families(), params_st, st.data())
+def test_swap_loop_equals_frozen_loop_state_for_state(family, params, data):
+    # Engine and frozen loop take the same rows, some through insert and
+    # some through extend, and must hold the same state after every step.
+    _, gens = family
+    lattice, rows = IncrementalLattice.over(gens, params)
+    frozen = ReferenceLattice(lattice.dim, params, lattice.scale)
+    i = 0
+    while i < len(rows):
+        if data.draw(st.booleans()):
+            assert lattice.insert(rows[i]) == frozen.insert(rows[i])
+            i += 1
+        else:
+            j = data.draw(st.integers(i + 1, len(rows)))
+            lattice.extend(rows[i:j])
+            frozen.extend(rows[i:j])
+            i = j
+        assert _state(lattice) == _state(frozen)
+
+
+@pytest.mark.parametrize("seed, d, m, duplicates, delta, counts", [
+    (0, 4, 50, False, F(3, 4), (6, 34, 210)),
+    (1, 6, 30, False, F(3, 4), (7, 86, 224)),
+    (2, 5, 60, True, F(3, 4), (6, 47, 314)),
+    (3, 4, 40, False, F(99, 100), (6, 32, 168)),
+])
+def test_bench_row_update_and_swap_counts(seed, d, m, duplicates, delta,
+                                          counts):
+    row = bench_row(seed, d, m, 10, duplicates, ReductionParams(delta))
+    assert (row["update_count"], row["swaps_incremental"],
+            row["swaps_batch"]) == counts
