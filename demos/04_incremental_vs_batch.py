@@ -2,8 +2,10 @@
 
 On a duplicates-heavy generator family the number of update steps stays
 bounded (independently of m) while batch reduction has to chew through all
-m vectors; the gap shows in MLLL swaps (a count that does not depend on the
-machine) and in time, and grows with m.
+m vectors: each one in the span of the rows before it rebuilds the batch
+engine from a Hermite normal form.  The gap shows in time and grows with m.
+MLLL swaps (a count that does not depend on the machine) stay few on both
+sides, since a rebuild starts from the HNF's independent rows.
 """
 
 from latkit.cli import bench_row

@@ -1,16 +1,17 @@
-"""Basis computation from small generating sets: Pohst-style MLLL.
+"""Basis computation from small generating sets: MLLL.
 
 The reduction accepts linearly dependent (and duplicate) input vectors and
 returns an LLL-reduced basis of the lattice they generate.  One engine,
 ``IncrementalLattice``, keeps the reduction state between insertions in
 exact integers: the vectors as integer rows over a common denominator fixed
 when the engine is built, the Gram determinants ``d_i`` and ``lambda_ij =
-d_{j+1} mu_ij`` (de Weger 1987; Cohen, Alg. 2.6.7), with Pohst's handling
-of a dependent vector.  All three algorithms run on it: batch reduction
-(``mlll``) and the incremental basis construction, the successive-minima
-scan and the short-vector enumerator (which reads the reduced basis's
-Gram-Schmidt form from ``d`` and ``lambda``), and the decomposition's
-membership scan and merge.
+d_{j+1} mu_ij`` (de Weger 1987; Cohen, Alg. 2.6.7).  An independent vector
+enters the integral LLL swap loop; a vector in the span rebuilds the engine
+from the Hermite normal form of its rows and that vector.  All three
+algorithms run on it: batch reduction (``mlll``) and the incremental basis
+construction, the successive-minima scan and the short-vector enumerator
+(which reads the reduced basis's Gram-Schmidt form from ``d`` and
+``lambda``), and the decomposition's membership scan and merge.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import neg
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .core import LatticeBasis, _idot, integerize
+from .core import LatticeBasis, _column_hnf, _idot, integerize
 
 
 @dataclass(frozen=True)
@@ -50,12 +51,10 @@ class IncrementalLattice:
     mu_ij`` for ``j < i``; both are integers, so the loop needs no ``b*``
     vectors and no ``Fraction``.
 
-    During an update at most one vector has ``b* = 0`` (the new vector, when
-    it lies in the span).  Its slot ``z`` is tracked explicitly: ``d`` counts
-    nonzero ``b*`` only, so ``d[z+1] = d[z]``, and ``lam[.][z] = 0``.  The
-    swap rules are those of Pohst's rational MLLL, step for step, so every
-    decision (and the output) is the same as there; the zero vector ends at
-    position 0 and is dropped.
+    An independent vector is appended and the swap loop runs from its slot,
+    with the decisions of Pohst's rational MLLL step for step.  A vector in
+    the span would leave a zero ``b*``; instead the engine is rebuilt from
+    the HNF of its rows and that vector, so every ``b*`` stays nonzero.
 
     ``_known`` holds every row ``insert`` has been given, once each.  The
     lattice only grows under ``insert``, so each of them, and its negation,
@@ -178,22 +177,24 @@ class IncrementalLattice:
         """Append b_n and run the swap loop from k = n until the basis is
         reduced again: size reduction by r = floor(mu_kl + 1/2) when |mu_kl|
         > 1/2, and the exchange of slots k-1 and k by SWAPI (Cohen, Alg.
-        2.6.7), which also moves a zero slot k with lambda_{k,k-1} = 0 down:
-        as d_{k+1} = d_k and lambda_.k = 0, d_k becomes d_{k-1}."""
+        2.6.7).  A row in the span (``dn == 0``) rebuilds the engine instead:
+        ``extend`` over the ``_column_hnf`` of its rows and that row, which
+        are independent.  That HNF routine is the ``lattice_equal`` oracle's
+        too, so the tests check every rebuild against ``reference_hnf``."""
         rows, d, lam = self.rows, self.d, self.lam
+        if dn == 0:
+            hnf = _column_hnf([*rows, row])
+            del rows[:], lam[:], d[1:]
+            self.extend(hnf)
+            return
         n = len(rows)
         rows.append(row)
         lam.append(lam_row)
-        z: Optional[int] = None
-        if dn == 0:
-            z = n
-            d.append(d[n])
-        else:
-            d.append(dn)
+        d.append(dn)
         p, q = self._p, self._q
         swaps = 0
         k = max(n, 1)
-        while k < len(rows):
+        while k <= n:
             k1 = k - 1
             lk = lam[k]
             x = lk[k1]
@@ -206,10 +207,8 @@ class IncrementalLattice:
                 ll = lam[k1]
                 for i in range(k1):
                     lk[i] -= r * ll[i]
-            dependent = k == z
             # Lovász condition met: size-reduce by the other slots, go on.
-            if not dependent and \
-                    q * (d[k + 1] * d[k1] + x * x) >= p * dk * dk:
+            if q * (d[k + 1] * d[k1] + x * x) >= p * dk * dk:
                 for l in range(k1 - 1, -1, -1):
                     y = lk[l]
                     dl = d[l + 1]
@@ -223,55 +222,21 @@ class IncrementalLattice:
                             lk[i] -= r * ll[i]
                 k += 1
                 continue
-            # Exchange b_{k-1} and b_k; the new lambda_{k,k-1} is x.
+            # Exchange b_{k-1} and b_k by SWAPI; the new lambda_{k,k-1} is x.
             swaps += 1
             rows[k1], rows[k] = rows[k], rows[k1]
             lam[k] = lam[k1] + [x]
             lam[k1] = lk[:k1]
-            if dependent and x:
-                self._swap_dependent(k, x)
-            else:               # SWAPI
-                dk1 = d[k + 1]
-                b = (d[k1] * dk1 + x * x) // dk
-                for i in range(k + 1, len(lam)):
-                    li = lam[i]
-                    t = li[k]
-                    li[k] = (dk1 * li[k1] - x * t) // dk
-                    li[k1] = (b * t + x * li[k]) // dk1
-                d[k] = b
-                if dependent:
-                    z = k1
-                    if z == 0:
-                        self._drop_front()
-                        z = None
-                        continue      # k = 1: the slot after the dropped one
-            k = max(1, k1)
+            dk1 = d[k + 1]
+            b = (d[k1] * dk1 + x * x) // dk
+            for i in range(k + 1, n + 1):
+                li = lam[i]
+                t = li[k]
+                li[k] = (dk1 * li[k1] - x * t) // dk
+                li[k1] = (b * t + x * li[k]) // dk1
+            d[k] = b
+            k = k1 or 1
         self.swaps += swaps
-
-    def _swap_dependent(self, k: int, x: int) -> None:
-        """Slot k had b* = 0 and mu_{k,k-1} = x/d_k != 0.  After the exchange
-        the new b*_{k-1} is mu times the old one and slot k still has b* = 0,
-        so d_k and every later d_j and lambda_.j scale by mu^2."""
-        d, lam = self.d, self.lam
-        dk = d[k]
-        x2 = x * x
-        dk2 = dk * dk
-        d[k] = d[k + 1] = x2 // dk
-        for j in range(k + 2, len(d)):
-            d[j] = d[j] * x2 // dk2
-        for i in range(k + 1, len(lam)):
-            li = lam[i]
-            li[k - 1] = x * li[k - 1] // dk
-            for j in range(k + 1, i):
-                li[j] = li[j] * x2 // dk2
-
-    def _drop_front(self) -> None:
-        """Remove the zero vector that reached position 0."""
-        self.rows.pop(0)
-        self.lam.pop(0)
-        for li in self.lam:
-            li.pop(0)
-        self.d.pop(0)
 
 
 def mlll(generators: Sequence, params: ReductionParams = DEFAULT_PARAMS

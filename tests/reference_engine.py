@@ -1,17 +1,19 @@
 """Frozen reference: the MLLL swap loop of ``IncrementalLattice`` as it
 stood before size reduction and the exchange were folded into ``_add``,
-kept verbatim as test code only.
+kept verbatim as test code only, for rows outside the span.
 
-``ReferenceLattice`` overrides ``_add``, ``_red``, ``_swap_rows``, ``_swap``
-and ``_swap_dependent`` with the copies below and inherits everything else
-(``insert``, ``extend``, the Gram-Schmidt row, the membership test and
-``_drop_front``), so a differential test can require the engine's ``rows``,
-``d``, ``lam`` and ``swaps`` to equal these after every step.
+``ReferenceLattice`` overrides ``_add``, ``_red``, ``_swap_rows`` and
+``_swap`` with the copies below and inherits everything else (``insert``,
+``extend``, the Gram-Schmidt row and the membership test).  A row in the
+span goes to the engine's own ``_add``, whose HNF rebuild ``extend``s this
+loop over independent rows, so a differential test can require the
+engine's ``rows``, ``d``, ``lam`` and ``swaps`` to equal these after every
+step.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from latkit.reduction import IncrementalLattice
 
@@ -23,35 +25,19 @@ class ReferenceLattice(IncrementalLattice):
     def _add(self, row: Sequence[int], lam_row: list[int], dn: int) -> None:
         """Append b_n and run the swap loop from k = n until the basis is
         reduced again."""
+        if dn == 0:
+            return super()._add(row, lam_row, dn)
         rows, d, lam = self.rows, self.d, self.lam
         n = len(rows)
         rows.append(row)
         lam.append(lam_row)
-        z: Optional[int] = None
-        if dn == 0:
-            z = n
-            d.append(d[n])
-        else:
-            d.append(dn)
+        d.append(dn)
         p, q = self._p, self._q
         k = max(n, 1)
         while k < len(rows):
             lk = lam[k]
             if 2 * abs(lk[k - 1]) > d[k]:
                 self._red(k, k - 1)
-            if k == z:
-                self.swaps += 1
-                if lam[k][k - 1]:
-                    self._swap_dependent(k)
-                else:
-                    self._swap(k)
-                    z = k - 1
-                    if z == 0:
-                        self._drop_front()
-                        z = None
-                        continue      # k = 1: the slot after the dropped one
-                k = max(1, k - 1)
-                continue
             x = lk[k - 1]
             if q * (d[k + 1] * d[k - 1] + x * x) < p * d[k] * d[k]:
                 self.swaps += 1
@@ -87,9 +73,7 @@ class ReferenceLattice(IncrementalLattice):
         lam[k] = old_k1 + [x]
 
     def _swap(self, k: int) -> None:
-        """Swap slots k-1 and k, b*_{k-1} != 0 (Cohen, Alg. 2.6.7, SWAPI).
-        A zero slot k with lambda_{k,k-1} = 0 moves to k-1: as d_{k+1} = d_k
-        and lambda_.k = 0, d_k becomes d_{k-1} and lambda_.{k-1} moves up."""
+        """Swap slots k-1 and k, b*_{k-1} != 0 (Cohen, Alg. 2.6.7, SWAPI)."""
         d, lam = self.d, self.lam
         x = lam[k][k - 1]
         self._swap_rows(k, x)
@@ -101,22 +85,3 @@ class ReferenceLattice(IncrementalLattice):
             li[k] = (dk1 * li[k - 1] - x * t) // dk
             li[k - 1] = (b * t + x * li[k]) // dk1
         d[k] = b
-
-    def _swap_dependent(self, k: int) -> None:
-        """Slot k has b* = 0 and mu = mu_{k,k-1} != 0.  After the swap the
-        new b*_{k-1} is mu times the old one and slot k still has b* = 0, so
-        d_k and every later d_j and lambda_.j scale by mu^2 = x^2/d_k^2."""
-        d, lam = self.d, self.lam
-        x = lam[k][k - 1]
-        self._swap_rows(k, x)
-        dk = d[k]
-        x2 = x * x
-        dk2 = dk * dk
-        d[k] = d[k + 1] = x2 // dk
-        for j in range(k + 2, len(d)):
-            d[j] = d[j] * x2 // dk2
-        for i in range(k + 1, len(lam)):
-            li = lam[i]
-            li[k - 1] = x * li[k - 1] // dk
-            for j in range(k + 1, i):
-                li[j] = li[j] * x2 // dk2

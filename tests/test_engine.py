@@ -1,13 +1,17 @@
 """Differential tests of the integral MLLL engine.
 
-The engine must reproduce the rational MLLL it replaced exactly: the same
-basis vectors in the same order, the same trace records, the same membership
-answers as ``is_member``, and a lattice equal to the HNF oracle's.
-``reference_mlll`` holds the frozen rational code, ``reference_engine`` the
-integral swap loop as it was before it became one method, which must leave
-the same state after every step.  ``insert`` answers a row given to it
-before, or its negation, from its known-row set; the pool families repeat,
-negate and double rows to exercise that set.
+Where no row meets the span of the rows before it, the engine must
+reproduce the rational MLLL it replaced exactly: the same basis vectors in
+the same order.  A row in the span rebuilds the engine from an HNF, where
+the rational MLLL runs Pohst's zero-vector cascade, so there the basis must
+generate the frozen HNF oracle's lattice and be size-reduced and
+Lovász-reduced by the frozen rational Gram-Schmidt.  Trace records and
+membership answers equal the references' always.  ``reference_mlll`` holds
+the frozen rational code, ``reference_engine`` the integral swap loop as it
+was before it became one method, which must leave the same state after
+every step.  ``insert`` answers a row given to it before, or its negation,
+from its known-row set; the pool families repeat, negate and double rows to
+exercise that set.
 """
 
 from fractions import Fraction as F
@@ -27,7 +31,9 @@ from latkit.cli import bench_row
 from latkit.reduction import IncrementalLattice
 
 from reference_engine import ReferenceLattice
+from reference_hnf import reference_canonical_basis, reference_hnf
 from reference_mlll import reference_incremental_basis, reference_mlll
+from test_reduction import check_lll_reduced
 
 DELTAS = [F(26, 100), F(3, 4), F(99, 100), F(1)]
 params_st = st.sampled_from(DELTAS).map(ReductionParams)
@@ -67,12 +73,23 @@ def generator_families(draw):
     return d, gens
 
 
+def _assert_reduced_basis_of(basis, gens, delta):
+    """``basis`` generates the lattice of ``gens`` by the frozen HNF and is
+    LLL-reduced at ``delta`` by the frozen rational Gram-Schmidt."""
+    assert reference_canonical_basis(basis.vectors) == \
+        reference_canonical_basis(gens)
+    check_lll_reduced(basis, delta)
+
+
 @settings(max_examples=300, deadline=None)
 @given(generator_families(), params_st)
 def test_mlll_equals_reference(family, params):
     _, gens = family
     got, want = mlll(gens, params), reference_mlll(gens, params)
-    assert got.vectors == want.vectors
+    if want.rank == sum(1 for g in gens if any(g)):
+        assert got.vectors == want.vectors
+    else:
+        _assert_reduced_basis_of(got, gens, params.delta)
     assert got.volume_sq == want.volume_sq
     assert got.dim == want.dim
 
@@ -83,9 +100,46 @@ def test_incremental_basis_equals_reference_loop(family, params):
     _, gens = family
     basis, trace = incremental_basis(gens, params)
     want_basis, want_records = reference_incremental_basis(gens, params)
-    assert basis.vectors == want_basis.vectors
+    if want_basis.rank == sum(r.was_update for r in want_records):
+        assert basis.vectors == want_basis.vectors
+    else:
+        _assert_reduced_basis_of(basis, gens, params.delta)
+    assert basis.volume_sq == want_basis.volume_sq
     assert basis.dim == want_basis.dim
     assert trace.insertions == want_records
+
+
+def test_update_in_the_span_rebuilds_from_the_hnf():
+    # (1, 1) lies in the span of (2, 0), (0, 2) but not in their lattice.
+    lattice = IncrementalLattice(2)
+    assert [lattice.insert(r) for r in [(2, 0), (0, 2), (1, 1)]] == \
+        [True, True, True]
+    basis = lattice.basis()
+    assert basis.vectors == ((1, 1), (1, -1))
+    assert basis.volume_sq == 4
+    _assert_reduced_basis_of(basis, [(2, 0), (0, 2), (1, 1)], F(3, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_families(), params_st, st.data())
+def test_each_rebuild_equals_reference_hnf(family, params, data):
+    # A nonzero row that leaves the rank as it was lay in the span and
+    # rebuilt the engine, through insert or extend: the rebuilt rows must
+    # generate the frozen HNF's lattice of the rows before and that row.
+    _, gens = family
+    lattice, rows = IncrementalLattice.over(gens, params)
+    for row in rows:
+        if not any(row):
+            continue
+        before, rank = list(lattice.rows), lattice.rank
+        if data.draw(st.booleans()):
+            lattice.insert(row)
+        else:
+            lattice.extend([row])
+        if lattice.rank == rank:
+            assert reference_hnf(lattice.rows) == \
+                reference_hnf([*before, row])
+            check_lll_reduced(lattice.basis(), params.delta)
 
 
 @settings(max_examples=200, deadline=None)
@@ -179,10 +233,10 @@ def test_swap_loop_equals_frozen_loop_state_for_state(family, params, data):
 
 
 @pytest.mark.parametrize("seed, d, m, duplicates, delta, counts", [
-    (0, 4, 50, False, F(3, 4), (6, 34, 210)),
-    (1, 6, 30, False, F(3, 4), (7, 86, 224)),
-    (2, 5, 60, True, F(3, 4), (6, 47, 314)),
-    (3, 4, 40, False, F(99, 100), (6, 32, 168)),
+    (0, 4, 50, False, F(3, 4), (6, 8, 8)),
+    (1, 6, 30, False, F(3, 4), (7, 7, 7)),
+    (2, 5, 60, True, F(3, 4), (6, 8, 33)),
+    (3, 4, 40, False, F(99, 100), (6, 13, 13)),
 ])
 def test_bench_row_update_and_swap_counts(seed, d, m, duplicates, delta,
                                           counts):
