@@ -204,34 +204,47 @@ def _column_hnf(rows: Sequence) -> tuple[tuple[int, ...], ...]:
     """Column-style Hermite normal form of integer rows of one length, the
     library's one HNF routine: each row ends in a positive pivot, the
     pivots' columns increase down the rows, and later rows' entries in a
-    pivot's column lie in [0, pivot).  Eliminates from the last column."""
+    pivot's column lie in [0, pivot).  Eliminates from the last column with
+    one unimodular 2x2 step per row and pivot column (Kannan & Bachem
+    1979): an exact division where the pivot divides the row's entry, else
+    the extended gcd of the two, which leaves their gcd in the pivot row."""
     rows = [list(r) for r in rows if any(r)]
+    n = len(rows)
     r0 = 0
     for col in range(len(rows[0]) - 1, -1, -1) if rows else ():
-        while True:
-            nz = [i for i in range(r0, len(rows)) if rows[i][col] != 0]
-            if not nz:
-                break
-            piv = min(nz, key=lambda i: abs(rows[i][col]))
-            rows[r0], rows[piv] = rows[piv], rows[r0]
-            done = True
-            for i in range(r0 + 1, len(rows)):
-                if rows[i][col] != 0:
-                    q = rows[i][col] // rows[r0][col]
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[r0])]
-                    if rows[i][col] != 0:
-                        done = False
-            if done:
-                if rows[r0][col] < 0:
-                    rows[r0] = [-a for a in rows[r0]]
-                for j in range(r0):
-                    q = rows[j][col] // rows[r0][col]
-                    if q:
-                        rows[j] = [a - q * b
-                                   for a, b in zip(rows[j], rows[r0])]
-                r0 += 1
-                break
-        if r0 == len(rows):
+        piv = next((i for i in range(r0, n) if rows[i][col]), n)
+        if piv == n:
+            continue
+        p = rows[piv]
+        rows[piv] = rows[r0]
+        a = p[col]
+        for i in range(piv + 1, n):
+            r = rows[i]
+            b = r[col]
+            if not b:
+                continue
+            q, rem = divmod(b, a)
+            if not rem:
+                rows[i] = [y - q * x for x, y in zip(p, r)]
+                continue
+            # s a + t b = g: the rows (s, t) and (-b/g, a/g) are unimodular.
+            g = math.gcd(a, b)
+            ag, bg = a // g, b // g
+            s = pow(ag, -1, abs(bg))
+            t = (1 - s * ag) // bg
+            rows[i] = [ag * y - bg * x for x, y in zip(p, r)]
+            p = [s * x + t * y for x, y in zip(p, r)]
+            a = g
+        if a < 0:
+            p = [-x for x in p]
+            a = -a
+        for j in range(r0):
+            q = rows[j][col] // a
+            if q:
+                rows[j] = [y - q * x for x, y in zip(p, rows[j])]
+        rows[r0] = p
+        r0 += 1
+        if r0 == n:
             break
     return tuple(map(tuple, reversed(rows[:r0])))
 

@@ -5,7 +5,8 @@ so far); only generators outside it trigger an update, which resumes the
 integral MLLL loop of ``IncrementalLattice`` from the new vector instead of
 reducing everything again.  The trace records enough to check the
 update-step bound u <= d + log2(d! (B/lambda_1)^d) exactly in its squared
-form.
+form: each insertion as ints, its ``Fraction`` volume formed only when the
+records are read.
 """
 
 from __future__ import annotations
@@ -29,16 +30,26 @@ class InsertionRecord:
 
 @dataclass(frozen=True)
 class UpdateTrace:
-    insertions: tuple[InsertionRecord, ...]
+    """The insertions of one construction: ``steps`` holds, for each,
+    ``(index, was_update, rank_after, d)``, with ``d`` the engine's Gram
+    determinant of its rows over ``scale`` after the insertion."""
+
+    steps: tuple[tuple[int, bool, int, int], ...]
+    scale: int
     swaps: int           # MLLL swaps over all updates
+    update_count: int
 
     @property
-    def update_count(self) -> int:
-        return sum(1 for r in self.insertions if r.was_update)
+    def insertions(self) -> tuple[InsertionRecord, ...]:
+        """The steps as records, with ``volume_sq_after = d /
+        scale^(2 rank_after)``, formed on each access."""
+        s = self.scale
+        return tuple(InsertionRecord(i, u, r, Fraction(d, s ** (2 * r)))
+                     for i, u, r, d in self.steps)
 
     @property
     def localization_count(self) -> int:
-        return len(self.insertions)
+        return len(self.steps)
 
 
 def incremental_basis(generators: Sequence, params: ReductionParams =
@@ -51,16 +62,18 @@ def incremental_basis(generators: Sequence, params: ReductionParams =
     steps).
     """
     lattice, rows = IncrementalLattice.over(generators, params)
-    records = []
-    volume = lattice.volume_sq
+    # The engine keeps d in place, one entry longer than its rank.
+    insert, d = lattice.insert, lattice.d
+    steps = []
+    updates = 0
     for i, row in enumerate(rows):
         if not any(row):
             continue
-        was_update = lattice.insert(row)
-        if was_update:
-            volume = lattice.volume_sq
-        records.append(InsertionRecord(i, was_update, lattice.rank, volume))
-    return lattice.basis(), UpdateTrace(tuple(records), lattice.swaps)
+        was_update = insert(row)
+        updates += was_update
+        steps.append((i, was_update, len(d) - 1, d[-1]))
+    return lattice.basis(), UpdateTrace(tuple(steps), lattice.scale,
+                                        lattice.swaps, updates)
 
 
 def _bound_ratio(bound_sq, lambda1_sq) -> Fraction:
@@ -100,5 +113,5 @@ def generating_subset(generators: Sequence, trace: UpdateTrace
 
     This subset regenerates the lattice; its size is ``update_count``.
     """
-    return tuple(tuple(generators[r.index])
-                 for r in trace.insertions if r.was_update)
+    return tuple(tuple(generators[i])
+                 for i, was_update, _, _ in trace.steps if was_update)

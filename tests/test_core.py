@@ -22,7 +22,7 @@ from latkit import (
     successive_minima,
     volume_sq,
 )
-from latkit.core import _det_bareiss_int, integerize
+from latkit.core import _column_hnf, _det_bareiss_int, integerize
 from latkit.enumeration import EnumerationRequest
 
 from reference_hnf import _as_vector as as_vector
@@ -397,12 +397,44 @@ def test_dependent_rational_basis_raises():
         LatticeBasis([(F(1, 2), F(1, 3)), (F(3, 2), 1)])
 
 
+@st.composite
+def hnf_step_rows(draw):
+    """Integer rows for both steps of ``_column_hnf``, the exact division
+    and the extended gcd: entries up to 10^6 beside small ones, rows
+    negated (a negative pivot entry), zero, repeated and dependent rows;
+    or an HNF and one more row, as a rebuild from the kept HNF takes
+    them."""
+    d = draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+    row = st.lists(entry, min_size=d, max_size=d)
+    rows = draw(st.lists(row, max_size=d + 1))
+    for kind in draw(st.lists(
+            st.sampled_from(["zero", "repeat", "sum", "negate"]),
+            max_size=3)):
+        if kind == "zero" or not rows:
+            rows.append([0] * d)
+        elif kind == "repeat":
+            rows.append(draw(st.sampled_from(rows)))
+        elif kind == "sum":
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            k = draw(st.integers(-3, 3))
+            rows.append([a + k * b for a, b in zip(u, v)])
+        else:
+            i = draw(st.integers(0, len(rows) - 1))
+            rows[i] = [-c for c in rows[i]]
+    if draw(st.booleans()):
+        rows = [*reference_hnf(rows), draw(row)]
+    return rows
+
+
 @settings(max_examples=300, deadline=None)
 @given(rational_rows(lambda d: d + 3), st.data())
 def test_canonical_basis_matches_frozen_reference(rows, data):
     assert canonical_basis(rows) == reference_canonical_basis(rows)
     ints = [tuple(int(c * 12) for c in r) for r in rows]  # clears denominators
     assert canonical_basis(ints) == reference_hnf(ints)
+    wide = data.draw(hnf_step_rows())
+    assert _column_hnf(wide) == reference_hnf(wide)
     # integerize returns all-int rows as they are, at scale 1; bool entries
     # take the Fraction path and come back as int.  No rows, or rows of two
     # lengths, go through it too.

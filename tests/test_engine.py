@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from latkit import (
     ReductionParams,
+    generating_subset,
     incremental_basis,
     is_member,
     lattice_equal,
@@ -107,6 +108,10 @@ def test_incremental_basis_equals_reference_loop(family, params):
     assert basis.volume_sq == want_basis.volume_sq
     assert basis.dim == want_basis.dim
     assert trace.insertions == want_records
+    assert trace.update_count == sum(r.was_update for r in trace.insertions)
+    assert trace.localization_count == len(trace.insertions)
+    assert generating_subset(gens, trace) == \
+        tuple(tuple(gens[r.index]) for r in want_records if r.was_update)
 
 
 def test_update_in_the_span_rebuilds_from_the_hnf():
@@ -118,6 +123,24 @@ def test_update_in_the_span_rebuilds_from_the_hnf():
     assert basis.vectors == ((1, 1), (1, -1))
     assert basis.volume_sq == 4
     _assert_reduced_basis_of(basis, [(2, 0), (0, 2), (1, 1)], F(3, 4))
+
+
+@pytest.mark.parametrize("last", [(0, 1, 1), (0, 1, 2)])
+def test_rebuild_starts_from_the_kept_hnf_only_at_its_rank(last):
+    # (1, 1, 0) rebuilds from the rows and (1, 0, 0) from the kept HNF, at
+    # rank 2; (0, 0, 3) raises the rank, so the last row, in the span but
+    # not in the lattice, must rebuild from the rows.  From the rank-2 HNF
+    # it would lose (0, 0, 3): (0, 1, 2) would give Z^2 x 2Z for Z^3,
+    # where (0, 1, 1) gives Z^3 from either.
+    lattice = IncrementalLattice(3)
+    rows = [(2, 0, 0), (0, 2, 0), (1, 1, 0), (1, 0, 0), (0, 0, 3), last]
+    ranks = []
+    for i, row in enumerate(rows):
+        assert lattice.insert(row)
+        ranks.append(lattice.rank)
+        assert reference_hnf(lattice.rows) == reference_hnf(rows[:i + 1])
+    assert ranks == [1, 2, 2, 2, 3, 3]
+    assert lattice.volume_sq == 1
 
 
 @settings(max_examples=200, deadline=None)
