@@ -37,7 +37,10 @@ class UpdateTrace:
     steps: tuple[tuple[int, bool, int, int], ...]
     scale: int
     swaps: int           # MLLL swaps over all updates
-    update_count: int
+
+    @property
+    def update_count(self) -> int:
+        return sum(u for _, u, _, _ in self.steps)
 
     @property
     def insertions(self) -> tuple[InsertionRecord, ...]:
@@ -62,18 +65,15 @@ def incremental_basis(generators: Sequence, params: ReductionParams =
     steps).
     """
     lattice, rows = IncrementalLattice.over(generators, params)
-    # The engine keeps d in place, one entry longer than its rank.
-    insert, d = lattice.insert, lattice.d
     steps = []
-    updates = 0
     for i, row in enumerate(rows):
         if not any(row):
             continue
-        was_update = insert(row)
-        updates += was_update
-        steps.append((i, was_update, len(d) - 1, d[-1]))
+        was_update = lattice.insert(row)
+        r = lattice.rank
+        steps.append((i, was_update, r, lattice.d[r]))
     return lattice.basis(), UpdateTrace(tuple(steps), lattice.scale,
-                                        lattice.swaps, updates)
+                                        lattice.swaps)
 
 
 def _bound_ratio(bound_sq, lambda1_sq) -> Fraction:

@@ -7,8 +7,7 @@ exact integers: the vectors as integer rows over a common denominator fixed
 when the engine is built, the Gram determinants ``d_i`` and ``lambda_ij =
 d_{j+1} mu_ij`` (de Weger 1987; Cohen, Alg. 2.6.7).  An independent vector
 enters the integral LLL swap loop; a vector in the span rebuilds the engine
-from the Hermite normal form of its lattice and that vector, starting from
-the HNF of the last rebuild while the rank is unchanged.  All three
+from the Hermite normal form of its rows and that vector.  All three
 algorithms run on it: batch reduction (``mlll``) and the incremental basis
 construction, the successive-minima scan and the short-vector enumerator
 (which reads the reduced basis's Gram-Schmidt form from ``d`` and
@@ -19,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, neg
+from operator import neg
 from typing import Iterable, Sequence
 
-from .core import LatticeBasis, _column_hnf, integerize
+from .core import LatticeBasis, _column_hnf, _idot, integerize
 
 
 @dataclass(frozen=True)
@@ -55,10 +54,7 @@ class IncrementalLattice:
     An independent vector is appended and the swap loop runs from its slot,
     with the decisions of Pohst's rational MLLL step for step.  A vector in
     the span would leave a zero ``b*``; instead the engine is rebuilt from
-    the HNF of its lattice and that vector, so every ``b*`` stays nonzero.
-    ``_hnf`` is the HNF of the last rebuild.  An independent vector raises
-    the rank and a rebuild leaves it as it was, so that HNF is the current
-    lattice's exactly while it has as many rows as ``rows``.
+    the HNF of its rows and that vector, so every ``b*`` stays nonzero.
 
     ``_known`` holds every row ``insert`` has been given, once each.  The
     lattice only grows under ``insert``, so each of them, and its negation,
@@ -66,7 +62,7 @@ class IncrementalLattice:
     """
 
     __slots__ = ("dim", "scale", "rows", "d", "lam", "swaps", "_known",
-                 "_hnf", "_p", "_q")
+                 "_p", "_q")
 
     def __init__(self, dim: int, params: ReductionParams = DEFAULT_PARAMS,
                  scale: int = 1):
@@ -77,7 +73,6 @@ class IncrementalLattice:
         self.lam: list[list[int]] = []
         self.swaps = 0
         self._known: set[tuple[int, ...]] = set()
-        self._hnf: tuple[tuple[int, ...], ...] = ()
         self._p = params.delta.numerator
         self._q = params.delta.denominator
 
@@ -153,12 +148,12 @@ class IncrementalLattice:
         rows, d, lam = self.rows, self.d, self.lam
         out: list[int] = []
         for j, b in enumerate(rows):
-            u = sum(map(mul, v, b))
+            u = _idot(v, b)
             lj = lam[j]
             for i in range(j):
                 u = (d[i + 1] * u - out[i] * lj[i]) // d[i]
             out.append(u)
-        u = sum(map(mul, v, v))
+        u = _idot(v, v)
         for i, x in enumerate(out):
             u = (d[i + 1] * u - x * x) // d[i]
         return out, u
@@ -183,16 +178,12 @@ class IncrementalLattice:
         reduced again: size reduction by r = floor(mu_kl + 1/2) when |mu_kl|
         > 1/2, and the exchange of slots k-1 and k by SWAPI (Cohen, Alg.
         2.6.7).  A row in the span (``dn == 0``) rebuilds the engine instead:
-        ``extend`` over the ``_column_hnf`` of the lattice's rows and that
-        row, which are independent; the lattice's rows are the kept HNF
-        when it is still the lattice's, else ``rows``.  That HNF routine is
-        the ``lattice_equal`` oracle's too, so the tests check every rebuild
-        against ``reference_hnf``."""
+        ``extend`` over the ``_column_hnf`` of its rows and that row, which
+        are independent.  That HNF routine is the ``lattice_equal`` oracle's
+        too, so the tests check every rebuild against ``reference_hnf``."""
         rows, d, lam = self.rows, self.d, self.lam
         if dn == 0:
-            kept = self._hnf
-            base = kept if len(kept) == len(rows) else rows
-            hnf = self._hnf = _column_hnf([*base, row])
+            hnf = _column_hnf([*rows, row])
             del rows[:], lam[:], d[1:]
             self.extend(hnf)
             return

@@ -402,8 +402,7 @@ def hnf_step_rows(draw):
     """Integer rows for both steps of ``_column_hnf``, the exact division
     and the extended gcd: entries up to 10^6 beside small ones, rows
     negated (a negative pivot entry), zero, repeated and dependent rows;
-    or an HNF and one more row, as a rebuild from the kept HNF takes
-    them."""
+    or an HNF and one more row."""
     d = draw(st.integers(1, 5))
     entry = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
     row = st.lists(entry, min_size=d, max_size=d)

