@@ -6,9 +6,9 @@ files are plain text: a header line "d m", then m whitespace-separated rows
 of d rational literals; '#' starts a comment.  All primary output is itself
 a valid lattice file (metadata goes into comment lines).
 
-Exit codes: 0 ok, 2 parse error, bad option value, unreadable input or
-unwritable standard output, 3 verification mismatch, 4 insufficient bound,
-5 enumeration cap exceeded.
+Exit codes: 0 ok, 2 refused command line or option value, parse error,
+unreadable input or unwritable standard output, 3 verification mismatch,
+4 insufficient bound, 5 enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ except ImportError:
 from .core import (
     GeneratingSet,
     LatticeBasis,
-    Vector,
     lattice_equal,
     norm_sq,
 )
@@ -63,7 +62,7 @@ from .incremental import (
     update_step_bound_value,
 )
 from .minima import greedy_minima_oracle, minkowski_check, successive_minima
-from .reduction import IncrementalLattice, ReductionParams
+from .reduction import DEFAULT_PARAMS, IncrementalLattice, ReductionParams
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -191,10 +190,6 @@ def parse_lattice_file(text: str) -> tuple[int, int, list[tuple]]:
     return header[0], header[1], rows
 
 
-def render_lattice(vectors: Sequence[Vector], dim: int) -> list[str]:
-    return [f"{dim} {len(vectors)}", *map(format_vector, vectors)]
-
-
 def _read_input(path: str) -> str:
     try:
         if path != "-":
@@ -218,50 +213,46 @@ def _digest(text: str) -> str:
     return _sha256(text.encode()).hexdigest()[:16]
 
 
-def _rational_option(name: str, value: str) -> Fraction:
+# Option readers; argparse reports an ArgumentTypeError as "argument --X: ...".
+
+def _positive(value: str) -> Fraction:
     try:
-        return Fraction(_literal(value))
+        b = Fraction(_literal(value))
     except ExponentLimitError as exc:
-        raise UsageError(f"{name}: {exc}, got {value!r}")
+        raise argparse.ArgumentTypeError(f"{exc}, got {value!r}")
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"{name} must be a rational number, got {value!r}")
+        raise argparse.ArgumentTypeError(
+            f"must be a rational number, got {value!r}")
+    if b <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value!r}")
+    return b
 
 
-def _int_list(name: str, value: str) -> list[int]:
+def _delta(value: str) -> ReductionParams:
     try:
-        return [int(x) for x in value.split(",")]
-    except ValueError:
-        raise UsageError(
-            f"{name} must be comma-separated integers, got {value!r}")
-
-
-def _params(args) -> ReductionParams:
-    try:
-        return ReductionParams(_rational_option("--delta", args.delta))
+        return ReductionParams(_positive(value))
     except ValueError as exc:
-        raise UsageError(f"--delta: {exc}")
+        raise argparse.ArgumentTypeError(str(exc))
 
 
-def _bound_sq(args) -> Fraction:
-    if args.bound_sq is not None and args.bound is not None:
-        raise UsageError("give one of --bound-sq / --bound, not both")
-    for name, value, square in (("--bound-sq", args.bound_sq, False),
-                                ("--bound", args.bound, True)):
-        if value is not None:
-            b = _rational_option(name, value)
-            if b <= 0:
-                raise UsageError(f"{name} must be positive")
-            return b * b if square else b
-    raise UsageError("one of --bound-sq / --bound is required")
+def _at_least(low: int):
+    """The reader of an integer option value at or above ``low``."""
+    def read(value: str) -> int:
+        try:
+            if (x := int(value)) >= low:
+                return x
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"must be an integer at least {low}, got {value!r}")
+    return read
 
 
 def cmd_basis(args) -> None:
-    params = _params(args)
-    _at_least("--cap", [args.cap], 0)
     text = _read_input(args.file)
     d, _, rows = parse_lattice_file(text)
     t0 = time.perf_counter()
-    basis, trace = incremental_basis(rows, params)
+    basis, trace = incremental_basis(rows, args.delta)
     t1 = time.perf_counter()
     lines = [
         f"# command: basis",
@@ -289,19 +280,18 @@ def cmd_basis(args) -> None:
     print("\n".join(lines))
     if args.verify:
         subset = generating_subset(rows, trace)
-        if not lattice_equal(basis, rows) or not lattice_equal(subset, rows):
+        # By transitivity, with one HNF of the m generators.
+        if not (lattice_equal(subset, basis) and lattice_equal(basis, rows)):
             raise UsageError("basis does not match the HNF oracle",
                              EXIT_VERIFY, "verification failed")
 
 
 def _input_lattice(args) -> tuple[str, int, list[tuple], IncrementalLattice,
                                   GeneratingSet]:
-    """The input of ``minima`` and ``decompose``, after the bound and cap:
-    the file's text, dimension and rows, the engine holding their reduced
-    basis, and the complete set enumerated on it up to the bound.  The rows
-    must be a basis: at most ``d`` of them (checked first), of full rank."""
-    bound_sq = _bound_sq(args)
-    _at_least("--cap", [args.cap], 0)
+    """The input of ``minima`` and ``decompose``: the file's text,
+    dimension and rows, the engine holding their reduced basis, and the
+    complete set enumerated on it up to the bound.  The rows must be a
+    basis: at most ``d`` of them (checked first), of full rank."""
     text = _read_input(args.file)
     d, m, rows = parse_lattice_file(text)
     if m > d:
@@ -309,7 +299,7 @@ def _input_lattice(args) -> tuple[str, int, list[tuple], IncrementalLattice,
     lat = IncrementalLattice.from_generators(rows)
     if lat.rank < m:
         raise UsageError("basis vectors are linearly dependent")
-    s = enumerate_up_to(EnumerationRequest(lat, bound_sq, args.cap))
+    s = enumerate_up_to(EnumerationRequest(lat, args.bound_sq, args.cap))
     return text, d, rows, lat, s
 
 
@@ -324,8 +314,9 @@ def cmd_minima(args) -> None:
         "# minima_sq: " + " ".join(map(format_scalar, result.minima_sq)),
         f"# rank: {result.rank}",
         f"# partial: {'true' if result.partial else 'false'}",
+        f"{d} {result.rank}",
     ]
-    lines += render_lattice(result.witnesses, d)
+    lines += map(format_vector, result.witnesses)
     print("\n".join(lines))
     if args.verify:
         oracle = greedy_minima_oracle(s)
@@ -340,9 +331,8 @@ def cmd_minima(args) -> None:
 
 
 def cmd_decompose(args) -> None:
-    params = _params(args)
     text, d, _, lat, s = _input_lattice(args)
-    decomp = orthogonal_decomposition(s, params) if s.rows else None
+    decomp = orthogonal_decomposition(s, args.delta) if s.rows else None
     # s lies in L and the components are pairwise orthogonal: s generates L
     # iff their ranks sum to L's and their squared volumes multiply to L's.
     comps = decomp.components if decomp else ()
@@ -425,77 +415,79 @@ def bench_row(seed: int, d: int, m: int, entry_range: int,
     }
 
 
-def _at_least(name: str, values: list[int], low: int) -> None:
-    for x in values:
-        if x < low:
-            raise UsageError(f"{name} must be at least {low}, got {x}")
-
-
 def cmd_bench(args) -> None:
-    dims = _int_list("--dims", args.dims)
-    counts = _int_list("--gen-counts", args.gen_counts)
-    _at_least("--dims", dims, 1)
-    _at_least("--gen-counts", counts, 1)
-    _at_least("--entry-range", [args.entry_range], 1)
-    _at_least("--reps", [args.reps], 0)
-    params = _params(args)
     print("seed,d,m,update_count,theorem_bound,t_incremental,t_batch_mlll")
-    cases = itertools.product(dims, counts, range(args.reps))
+    cases = itertools.product(args.dims, args.gen_counts, range(args.reps))
     for idx, (d, m, _) in enumerate(cases):
         row = bench_row(args.seed + 1009 * idx, d, m, args.entry_range,
-                        args.duplicates, params)
+                        args.duplicates, args.delta)
         print(f"{row['seed']},{row['d']},{row['m']},"
               f"{row['update_count']},{row['theorem_bound']:.6f},"
               f"{row['t_incremental']:.6f},{row['t_batch_mlll']:.6f}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Its refusals, and its subparsers', raise ``UsageError`` for ``main``."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+    def _get_values(self, action, arg_strings):
+        # Before 3.13 argparse drops the value of "--opt=--" and stores [].
+        if action.option_strings and arg_strings == ["--"]:
+            return self._get_value(action, "--")
+        return super()._get_values(action, arg_strings)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused after."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latkit",
         description="Exact incremental lattice algorithms: basis, "
                     "successive minima, orthogonal decomposition.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def delta(p):
-        p.add_argument("--delta", default="3/4",
+        p.add_argument("--delta", type=_delta, default=DEFAULT_PARAMS,
                        help="Lovász parameter (rational, default 3/4)")
 
-    def common(p, bound=False):
+    def common(p, func, bound=False):
+        p.add_argument("file", help="lattice file ('-' for stdin)")
         p.add_argument("--verify", action="store_true",
                        help="cross-check against the independent oracle")
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+        p.add_argument("--cap", type=_at_least(0), default=DEFAULT_CAP,
                        help="enumeration vector cap")
         if bound:
-            p.add_argument("--bound-sq", help="squared norm bound (rational)")
-            p.add_argument("--bound",
+            g = p.add_mutually_exclusive_group(required=True)
+            g.add_argument("--bound-sq", type=_positive, metavar="Q",
+                           help="squared norm bound (rational)")
+            g.add_argument("--bound", type=lambda v: _positive(v) ** 2,
+                           dest="bound_sq", metavar="Q",
                            help="norm bound (rational; squared internally)")
+        p.set_defaults(func=func)
+
+    def ints(value: str) -> list[int]:      # comma-separated, each >= 1
+        return list(map(_at_least(1), value.split(",")))
 
     p = sub.add_parser("basis", help="incremental lattice basis")
-    p.add_argument("file", help="lattice file ('-' for stdin)")
     p.add_argument("--trace", action="store_true",
                    help="print the localization/update trace and bound check")
     delta(p)
-    common(p)
-    p.set_defaults(func=cmd_basis)
+    common(p, cmd_basis)
 
     p = sub.add_parser("minima", help="successive minima")
-    p.add_argument("file")
-    common(p, bound=True)
-    p.set_defaults(func=cmd_minima)
+    common(p, cmd_minima, bound=True)
 
     p = sub.add_parser("decompose", help="orthogonal decomposition")
-    p.add_argument("file")
     delta(p)
-    common(p, bound=True)
-    p.set_defaults(func=cmd_decompose)
+    common(p, cmd_decompose, bound=True)
 
     p = sub.add_parser("bench", help="incremental vs batch benchmark (CSV)")
-    p.add_argument("--dims", default="4")
-    p.add_argument("--gen-counts", default="50,100,200")
-    p.add_argument("--entry-range", type=int, default=10)
-    p.add_argument("--reps", type=int, default=5)
+    p.add_argument("--dims", type=ints, default=(4,))
+    p.add_argument("--gen-counts", type=ints, default=(50, 100, 200))
+    p.add_argument("--entry-range", type=_at_least(1), default=10)
+    p.add_argument("--reps", type=_at_least(0), default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--duplicates", action="store_true",
                    help="duplicates-heavy generator families")
@@ -507,8 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command; the one place where a failure becomes an exit code
     and a line on stderr."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         try:
             args.func(args)
         finally:

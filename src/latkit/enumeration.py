@@ -22,6 +22,7 @@ and the enumerator as it ran before are test code
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, neg
@@ -115,7 +116,12 @@ def enumerate_up_to(req: EnumerationRequest) -> GeneratingSet:
             v = tuple(map(add, v, b))
         coeffs[i] = 0
 
-    recurse(n - 1, top.numerator // top.denominator, (0,) * lat.dim, True)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + n)    # the search goes n levels deep
+    try:
+        recurse(n - 1, top.numerator // top.denominator, (0,) * lat.dim, True)
+    finally:
+        sys.setrecursionlimit(limit)
     return GeneratingSet.from_rows(out, scale, req.bound_sq, complete=True)
 
 

@@ -31,7 +31,6 @@ from latkit.cli import (
     format_vector,
     main,
     parse_lattice_file,
-    render_lattice,
 )
 from latkit.decompose import graph_decomposition_oracle
 from latkit.minima import MinimaResult
@@ -87,7 +86,7 @@ class TestParsing:
         d, m, rows = parse_lattice_file("2 2\n1/2 -3\n0 7/5\n")
         assert (d, m) == (2, 2)
         assert rows == [(F(1, 2), F(-3)), (F(0), F(7, 5))]
-        text = "\n".join(render_lattice(rows, d))
+        text = "\n".join([f"{d} {len(rows)}", *map(format_vector, rows)])
         assert parse_lattice_file(text)[2] == rows
 
     def test_comments_and_blanks_skipped(self):
@@ -140,6 +139,7 @@ class TestParsing:
     @example("1 3/0")
     @example("1_0 2")
     @example("2 " + "9" * 5000)
+    @example("--")
     def test_entry_equals_fraction_of_token(self, line):
         # A line of 1-4 tokens reads as _literal reads each token, with the
         # same type per entry, or fails with _literal's message: a line of
@@ -161,9 +161,14 @@ class TestParsing:
         # The parser's value of a token is Fraction(token), an int when it
         # is integral; where Fraction(token) raises, the parser reports the
         # same error type and message.  A well-formed decimal exponent past
-        # the int-to-str digit limit is refused instead.  A rational option
-        # value reads the token alike, with its own messages.
+        # the int-to-str digit limit is refused instead.  The parser reads a
+        # rational option value alike, with its own messages.
         [token] = tokens
+
+        def read_bound_sq():
+            argv = ["minima", "FILE", f"--bound-sq={token}"]
+            return cli.build_parser().parse_args(argv).bound_sq
+
         try:
             want = F(token)
         except (ValueError, ZeroDivisionError) as exc:
@@ -172,9 +177,9 @@ class TestParsing:
             assert str(err.value) == f"line 2: bad rational literal: {exc}"
             assert type(err.value.__context__) is type(exc)
             with pytest.raises(cli.UsageError) as err:
-                cli._rational_option("--bound-sq", token)
-            assert str(err.value) == \
-                f"--bound-sq must be a rational number, got {token!r}"
+                read_bound_sq()
+            assert str(err.value) == (f"argument --bound-sq: must be a "
+                                      f"rational number, got {token!r}")
             return
         *_, exponent = re.split("[eE]", token)
         limit = sys.get_int_max_str_digits()
@@ -184,18 +189,24 @@ class TestParsing:
                     r"exceeds the limit \(\d+\)$")):
                 parse_lattice_file(f"1 1\n{token}\n")
             with pytest.raises(cli.UsageError) as err:
-                cli._rational_option("--bound-sq", token)
+                read_bound_sq()
             assert str(err.value) == (
-                f"--bound-sq: decimal exponent exceeds the limit ({limit}), "
-                f"got {token!r}")
+                f"argument --bound-sq: decimal exponent exceeds the limit "
+                f"({limit}), got {token!r}")
             return
         [(got,)] = parse_lattice_file(f"1 1\n{token}\n")[2]
         assert got == want
         assert type(got) in (int, F)
         assert (type(got) is int) == bool(re.fullmatch(r"[+-]?[0-9]+", token))
         # Option values are read by the same code, and reach the library
-        # as Fractions.
-        option = cli._rational_option("--bound-sq", token)
+        # as Fractions; a bound must be positive.
+        if want <= 0:
+            with pytest.raises(cli.UsageError) as err:
+                read_bound_sq()
+            assert str(err.value) == \
+                f"argument --bound-sq: must be positive, got {token!r}"
+            return
+        option = read_bound_sq()
         assert option == want and type(option) is F
 
     def test_entries_are_int_or_fraction(self):
@@ -356,8 +367,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         name, value = options[-2:]
         limit = sys.get_int_max_str_digits()
-        assert err == (f"error: {name}: decimal exponent exceeds the limit "
-                       f"({limit}), got {value!r}\n")
+        assert err == (f"error: argument {name}: decimal exponent exceeds "
+                       f"the limit ({limit}), got {value!r}\n")
+
+    @pytest.mark.parametrize("args, message", [
+        (["basis", "FILE", "--cap", "x"],
+         "argument --cap: must be an integer at least 0, got 'x'"),
+        # Before Python 3.13 argparse drops the value of "--opt=--" unread.
+        (["basis", "FILE", "--cap=--"],
+         "argument --cap: must be an integer at least 0, got '--'"),
+        (["minima", "FILE", "--bound-sq=--"],
+         "argument --bound-sq: must be a rational number, got '--'"),
+        (["minima", "FILE", "--bound-sq", "4", "--cap", "-1"],
+         "argument --cap: must be an integer at least 0, got '-1'"),
+        (["basis", "FILE", "--delta", "2"],
+         "argument --delta: delta must satisfy 1/4 < delta <= 1"),
+        (["decompose", "FILE", "--bound-sq", "4", "--delta", "1/0"],
+         "argument --delta: must be a rational number, got '1/0'"),
+        (["minima", "FILE", "--bound", "0"],
+         "argument --bound: must be positive, got '0'"),
+        (["decompose", "FILE", "--bound-sq=-1/2"],
+         "argument --bound-sq: must be positive, got '-1/2'"),
+        (["bench", "--dims", "3,0"],
+         "argument --dims: must be an integer at least 1, got '0'"),
+        (["bench", "--gen-counts", "4,x"],
+         "argument --gen-counts: must be an integer at least 1, got 'x'"),
+        (["bench", "--entry-range", "0"],
+         "argument --entry-range: must be an integer at least 1, got '0'"),
+        (["bench", "--reps", "-1"],
+         "argument --reps: must be an integer at least 0, got '-1'"),
+    ])
+    def test_option_value_message(self, args, message, tmp_path, capsys):
+        code = run_cli(args, tmp_path, DIAG)
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["basis", str(tmp_path / "missing.lat")])
@@ -498,11 +543,10 @@ class TestExitCodes:
         assert captured.err == f"parse error: {message}\n"
 
     def test_minima_has_no_delta(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["minima", "FILE", "--bound-sq", "4", "--delta", "1/2"],
-                    tmp_path, DIAG)
-        assert exc.value.code == EXIT_PARSE
+        code = run_cli(["minima", "FILE", "--bound-sq", "4", "--delta", "1/2"],
+                       tmp_path, DIAG)
         assert "--delta" in capsys.readouterr().err
+        assert code == EXIT_PARSE
 
 
 DIAG_BASIS_OUT = """\
@@ -709,7 +753,8 @@ def test_decompose_exit_code_matches_hnf_decision(case, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.lat")
         with open(path, "w") as fh:
-            fh.write("\n".join(render_lattice(basis.vectors, len(rows))))
+            fh.write("\n".join([f"{len(rows)} {len(rows)}",
+                                *map(format_vector, basis.vectors)]))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["decompose", path, "--bound-sq", str(bound_sq)])
@@ -745,16 +790,38 @@ def lattice_files(draw):
     return "\n".join([f"{d} {m}", *rows]) + "\n"
 
 
+# Command lines the argument parser refuses: an unknown option, a value
+# that is not an integer, an option the command does not have, both bounds,
+# no bound, no file operand and a list item below its floor.
+REFUSED = [["basis", "FILE", "--unknown"], ["basis", "FILE", "--cap", "x"],
+           ["minima", "FILE", "--bound-sq", "2", "--delta", "1/2"],
+           ["decompose", "FILE", "--bound-sq", "2", "--bound", "1"],
+           ["minima", "FILE"], ["decompose", "--bound-sq", "2"],
+           ["basis"], ["bench", "--dims", "3,0"]]
+
+
+def refused_examples(test):
+    """Run each refused command line once, as an explicit example; the
+    random draws fuzz the file and the option values."""
+    for line in REFUSED:
+        test = example(DIAG, "basis", None, None, False, 2000, line)(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
 @given(lattice_files(), st.sampled_from(["basis", "minima", "decompose"]),
        st.sampled_from(["2", "1", "5/2", "4", "9", None, "0", "-1", "1/0",
                         "inf"]),
        st.sampled_from([None, "3/4", "99/100", "1", "1/4", "0"]),
-       st.booleans(), st.sampled_from([2000, 40, 1]))
+       st.booleans(), st.sampled_from([2000, 40, 1]),
+       st.none())
+@refused_examples
 def test_main_returns_a_documented_exit_code(text, command, bound_sq, delta,
-                                             verify, cap):
+                                             verify, cap, refused):
     """On any lattice file and option values, ``main`` returns one of the
-    documented exit codes instead of raising."""
+    documented exit codes instead of raising, and a failure writes one line
+    on stderr; a command line the parser refuses returns 2 and one line
+    ``error: ...``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.lat")
         with open(path, "w") as fh:
@@ -766,11 +833,19 @@ def test_main_returns_a_documented_exit_code(text, command, bound_sq, delta,
             argv.append(f"--delta={delta}")
         if verify:
             argv.append("--verify")
+        if refused is not None:
+            argv = [path if a == "FILE" else a for a in refused]
+        err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
+                contextlib.redirect_stderr(err):
             code = main(argv)
-    event(f"{command} exit {code}")
+    event(f"{command} exit {code}" if refused is None
+          else f"refused: {' '.join(refused)}")
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_VERIFY, EXIT_BOUND, EXIT_CAP)
+    assert err.getvalue().count("\n") == (code != EXIT_OK)
+    if refused is not None:
+        assert code == EXIT_PARSE
+        assert err.getvalue().startswith("error: ")
 
 
 class TestBenchCommand:

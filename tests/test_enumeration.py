@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -69,6 +70,25 @@ class TestEnumerateUpTo:
     def test_cap_is_an_error_not_truncation(self, z2):
         with pytest.raises(EnumerationCapExceeded):
             enumerate_up_to(EnumerationRequest(z2, 100, cap=10))
+
+    def test_rank_past_the_recursion_limit(self):
+        # The search recurses once per level: a rank above the room left
+        # under the recursion limit still completes, and the limit is the
+        # caller's again afterwards.
+        basis = LatticeBasis([[int(i == j) for j in range(60)]
+                              for i in range(60)])
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 30)
+        try:
+            s = enumerate_up_to(EnumerationRequest(basis, 1))
+            after = sys.getrecursionlimit()
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(s.rows) == 120
+        assert after == depth + 30
 
     def test_rejects_bad_request(self, z2):
         with pytest.raises(ValueError):
