@@ -3,8 +3,9 @@
 Subcommands: ``basis`` (incremental construction with optional trace and
 oracle verification), ``minima``, ``decompose`` and ``bench``.  Lattice
 files are plain text: a header line "d m", then m whitespace-separated rows
-of d rational literals; '#' starts a comment.  All primary output is itself
-a valid lattice file (metadata goes into comment lines).
+of d rational literals.  A line whose first non-blank character is '#' is a
+comment; a '#' later in a line is read as an entry.  All primary output is
+itself a valid lattice file (metadata goes into comment lines).
 
 Exit codes: 0 ok, 2 refused command line or option value, parse error,
 unreadable input or unwritable standard output, 3 verification mismatch,
@@ -316,7 +317,7 @@ def cmd_minima(args) -> None:
         f"# partial: {'true' if result.partial else 'false'}",
         f"{d} {result.rank}",
     ]
-    lines += map(format_vector, result.witnesses)
+    lines += (format_vector(r, result.scale) for r in result.rows)
     print("\n".join(lines))
     if args.verify:
         oracle = greedy_minima_oracle(s)

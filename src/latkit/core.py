@@ -5,8 +5,9 @@ common denominator, its ``scale``: ``integerize`` is the one normalizer of
 vectors handed in (``int`` and ``Fraction`` entries, or anything
 ``Fraction()`` accepts), and ``LatticeBasis`` and ``GeneratingSet`` keep
 only those rows and that scale (for a ``GeneratingSet``, the least common
-denominator).  ``Fraction`` vectors are formed only where the API hands
-vectors out (their ``vectors`` and ``canonical_basis``).  Norms and volumes
+denominator, which ``_lowest_terms`` takes rows to).  ``Fraction`` vectors
+are formed only where the API hands vectors out: their ``vectors``,
+``MinimaResult.witnesses`` and ``canonical_basis``.  Norms and volumes
 are carried as squared quantities, so every comparison stays rational; the
 independence check of ``LatticeBasis``, the norm order of ``GeneratingSet``
 and the Hermite normal form behind lattice equality and membership all run
@@ -168,12 +169,7 @@ class GeneratingSet:
             keyed.append((n, r))
         # With scale > 0, (n, r) orders as (norm_sq, r / scale) does.
         keyed.sort()
-        rows = tuple(r for _, r in keyed)
-        if scale > 1:       # to the least common denominator
-            g = math.gcd(scale, *(c for r in rows for c in r))
-            if g > 1:
-                scale //= g
-                rows = tuple(tuple(c // g for c in r) for r in rows)
+        rows, scale = _lowest_terms(tuple(r for _, r in keyed), scale)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "bound_sq", bound_sq)
@@ -198,6 +194,17 @@ def integerize(vectors: Iterable) -> tuple[list[list[int]], int]:
     if len({*map(len, vs)}) > 1:
         raise ValueError("vectors have mixed dimensions")
     return vs, scale
+
+
+def _lowest_terms(rows: tuple[tuple[int, ...], ...], scale: int
+                  ) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer rows over a positive ``scale``, and that scale, both divided
+    by their gcd: the same vectors over their least common denominator."""
+    if scale > 1:
+        g = math.gcd(scale, *(c for r in rows for c in r))
+        if g > 1:
+            return tuple(tuple(c // g for c in r) for r in rows), scale // g
+    return rows, scale
 
 
 def _column_hnf(rows: Sequence) -> tuple[tuple[int, ...], ...]:

@@ -86,7 +86,8 @@ def enumerate_up_to(req: EnumerationRequest) -> GeneratingSet:
     dd = [d[i] * d[i + 1] for i in range(n)]
     lcm = math.lcm(*dd)
     w = [lcm // x for x in dd]
-    top = req.bound_sq * scale * scale * lcm
+    bound = req.bound_sq    # top = floor(bound_sq scale^2 lcm), in ints
+    top = bound.numerator * scale * scale * lcm // bound.denominator
     coeffs = [0] * n
     out: list[tuple[int, ...]] = []     # vectors times scale
 
@@ -119,7 +120,7 @@ def enumerate_up_to(req: EnumerationRequest) -> GeneratingSet:
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + n)    # the search goes n levels deep
     try:
-        recurse(n - 1, top.numerator // top.denominator, (0,) * lat.dim, True)
+        recurse(n - 1, top, (0,) * lat.dim, True)
     finally:
         sys.setrecursionlimit(limit)
     return GeneratingSet.from_rows(out, scale, req.bound_sq, complete=True)

@@ -5,7 +5,9 @@ keeps them in, and inserted one by one into the integral MLLL engine of
 ``latkit.reduction``; each one that raises the rank of the running lattice
 extends its span and contributes the next minimum.  A complete input set
 guarantees the scan meets a witness of every minimum in order.  The greedy
-oracle recomputes ranks from the Hermite normal form instead.
+oracle recomputes ranks from the Hermite normal form instead.  Both keep
+their witnesses as the set's integer rows, over its scale, up to the
+result.
 """
 
 from __future__ import annotations
@@ -13,24 +15,59 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import (
     GeneratingSet,
     LatticeBasis,
-    Vector,
     _column_hnf,
     _idot,
+    _lowest_terms,
+    integerize,
 )
 from .reduction import IncrementalLattice
 
 
 @dataclass(frozen=True)
 class MinimaResult:
+    """Squared successive minima, their witnesses, and the rank reached;
+    ``partial`` when the bound was too small to reach every minimum.
+
+    The witnesses are kept as integer rows over their least common
+    denominator, ``witnesses[i] == rows[i] / scale``, formed as
+    ``Fraction``s on each access.  That scale is unique, so equality and
+    hashing on ``rows`` and ``scale`` are those on the witnesses.
+    """
+
     minima_sq: tuple[Fraction, ...]
-    witnesses: tuple[Vector, ...]
+    rows: tuple[tuple[int, ...], ...]
+    scale: int
     rank: int
     partial: bool = False
+
+    def __init__(self, minima_sq, witnesses, rank, partial=False):
+        self._init_rows(minima_sq, *integerize(witnesses), rank, partial)
+
+    @classmethod
+    def from_rows(cls, minima_sq, rows: Sequence[Sequence[int]], scale: int,
+                  rank: int, partial: bool = False) -> "MinimaResult":
+        """The result whose witnesses are ``row / scale``, for integer rows
+        over one positive common denominator ``scale``."""
+        result = object.__new__(cls)
+        result._init_rows(minima_sq, rows, scale, rank, partial)
+        return result
+
+    def _init_rows(self, minima_sq, rows, scale, rank, partial) -> None:
+        if scale < 1:
+            raise ValueError(f"scale must be a positive integer, got {scale}")
+        rows, scale = _lowest_terms(tuple(map(tuple, rows)), scale)
+        object.__setattr__(self, "minima_sq", tuple(minima_sq))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "partial", partial)
+
+    witnesses = LatticeBasis.vectors    # rows / scale, on each access
 
 
 def successive_minima(s: GeneratingSet,
@@ -48,15 +85,16 @@ def successive_minima(s: GeneratingSet,
         raise ValueError("successive minima require a complete set")
     lattice = IncrementalLattice(len(s.rows[0]), scale=s.scale)
     minima: list[Fraction] = []
-    witnesses: list[Vector] = []
+    witnesses: list[tuple[int, ...]] = []
     for row in s.rows:
         if lattice.insert(row) and lattice.rank > len(minima):
-            witnesses.append(tuple(Fraction(c, s.scale) for c in row))
+            witnesses.append(row)
             minima.append(Fraction(_idot(row, row), s.scale ** 2))
             if lattice.rank == (expected_rank or lattice.dim):
                 break
     partial = expected_rank is not None and len(minima) < expected_rank
-    return MinimaResult(tuple(minima), tuple(witnesses), len(minima), partial)
+    return MinimaResult.from_rows(minima, witnesses, s.scale, len(minima),
+                                  partial)
 
 
 def greedy_minima_oracle(s: GeneratingSet) -> MinimaResult:
@@ -78,8 +116,7 @@ def greedy_minima_oracle(s: GeneratingSet) -> MinimaResult:
         if len(_column_hnf(kept + [row])) > len(kept):
             kept.append(row)
             minima.append(Fraction(n, s.scale ** 2))
-    witnesses = tuple(tuple(Fraction(c, s.scale) for c in r) for r in kept)
-    return MinimaResult(tuple(minima), witnesses, len(kept))
+    return MinimaResult.from_rows(minima, kept, s.scale, len(kept))
 
 
 def minkowski_check(basis: LatticeBasis, result: MinimaResult,

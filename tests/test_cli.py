@@ -33,7 +33,7 @@ from latkit.cli import (
     parse_lattice_file,
 )
 from latkit.decompose import graph_decomposition_oracle
-from latkit.minima import MinimaResult
+from latkit.minima import MinimaResult, minkowski_check
 from latkit.reduction import IncrementalLattice
 
 import reference_format
@@ -92,6 +92,14 @@ class TestParsing:
     def test_comments_and_blanks_skipped(self):
         d, m, rows = parse_lattice_file("# hi\n\n1 1\n# mid\n5\n")
         assert rows == [(F(5),)]
+
+    def test_comment_only_at_line_start(self):
+        # An indented '#' starts a comment line; one after an entry is read
+        # as an entry, as the README says.
+        assert parse_lattice_file("2 1\n  # note\n1 2\n")[2] == [(1, 2)]
+        with pytest.raises(LatticeFileError,
+                           match=r"^line 2: expected 2 entries, got 4$"):
+            parse_lattice_file("2 1\n1 2 # note\n")
 
     def test_bad_token(self):
         with pytest.raises(LatticeFileError) as err:
@@ -623,6 +631,22 @@ class TestVerifyFailure:
 
 
 class TestMinimaCommand:
+    def test_printed_result_passes_minkowski(self, tmp_path, capsys):
+        # A result built from the printed lines, as the benchmark's output
+        # check builds one: minima and witnesses read back as Fractions.
+        text = "3 3\n1/2 -3 5\n3/4 7 0\n0 5 1/2\n"
+        code = run_cli(["minima", "FILE", "--bound-sq", "50"], tmp_path, text)
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        minima = tuple(map(F, lines[2].removeprefix("# minima_sq: ").split()))
+        vectors = [tuple(map(F, line.split())) for line in lines[6:]]
+        assert len(vectors) == len(minima) == 3
+        assert any(c.denominator > 1 for v in vectors for c in v)
+        result = MinimaResult(minima, tuple(vectors), len(minima))
+        basis = LatticeBasis([tuple(map(F, r.split()))
+                              for r in text.splitlines()[1:]])
+        assert minkowski_check(basis, result)
+
     def test_diag(self, tmp_path, capsys):
         code = run_cli(["minima", "FILE", "--bound-sq", "4", "--verify"],
                        tmp_path, DIAG)

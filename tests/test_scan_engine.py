@@ -18,6 +18,7 @@ from latkit import (
     EnumerationCapExceeded,
     EnumerationRequest,
     LatticeBasis,
+    MinimaResult,
     enumerate_up_to,
     greedy_minima_oracle,
     norm_sq,
@@ -28,6 +29,7 @@ from latkit.reduction import IncrementalLattice
 from conftest import scrambled
 from reference_enumeration import _gram_inverse_diagonal, box_oracle
 from reference_linalg import gram_matrix, rank_of
+from reference_minima import reference_successive_minima
 
 
 @st.composite
@@ -66,6 +68,60 @@ def test_scan_equals_greedy_oracle(lattice):
     assert got.minima_sq == want.minima_sq
     assert got.witnesses == want.witnesses
     assert got.rank == want.rank
+
+
+@settings(max_examples=120, deadline=None)
+@given(lattices(), st.booleans())
+def test_scan_equals_frozen_fraction_scan(lattice, given_rank):
+    # The scan keeps its witnesses as the set's rows over its scale; the
+    # frozen scan formed Fraction witnesses.  Every field must agree, and
+    # the result must equal, and hash as, one built from those witnesses.
+    basis, bound = lattice
+    s = _enumerate(basis, bound)
+    assume(s is not None and s.rows)
+    rank = basis.rank if given_rank else None
+    got = successive_minima(s, expected_rank=rank)
+    ref = reference_successive_minima(s, expected_rank=rank)
+    assert got.minima_sq == ref.minima_sq
+    assert got.witnesses == ref.witnesses
+    assert got.rank == ref.rank
+    assert got.partial == ref.partial
+    rebuilt = MinimaResult(ref.minima_sq, ref.witnesses, ref.rank, ref.partial)
+    assert got == rebuilt
+    assert hash(got) == hash(rebuilt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices())
+def test_scan_and_oracle_keep_integer_rows(lattice):
+    basis, bound = lattice
+    s = _enumerate(basis, bound)
+    assume(s is not None and s.rows)
+    for r in (successive_minima(s), greedy_minima_oracle(s)):
+        assert all(type(c) is int for row in r.rows for c in row)
+        assert type(r.scale) is int and r.scale >= 1
+        assert r.witnesses == tuple(tuple(F(c, r.scale) for c in row)
+                                    for row in r.rows)
+
+
+def test_witnesses_over_scale_2_one_of_them_integral():
+    # (1/2, 0) and (0, 1), the lattice of cross.lat: the set up to squared
+    # norm 1 sits at scale 2, and the second witness, (0, -1), is integral.
+    s = enumerate_up_to(EnumerationRequest(
+        LatticeBasis([(F(1, 2), 0), (0, 1)]), 1))
+    assert s.scale == 2
+    got = successive_minima(s, expected_rank=2)
+    ref = reference_successive_minima(s, expected_rank=2)
+    assert (got.rows, got.scale) == (((-1, 0), (0, -2)), 2)
+    assert got.witnesses == ref.witnesses == ((F(-1, 2), 0), (0, -1))
+    assert got.minima_sq == ref.minima_sq == (F(1, 4), 1)
+    assert got == MinimaResult(ref.minima_sq, ref.witnesses, 2)
+    assert got == greedy_minima_oracle(s)
+    # The integral witness alone is at scale 1, as rows over 2 or over 1.
+    alone = MinimaResult.from_rows((1,), [(0, -2)], 2, 1)
+    assert (alone.rows, alone.scale) == (((0, -1),), 1)
+    assert alone == MinimaResult((1,), [(0, -1)], 1)
+    assert hash(alone) == hash(MinimaResult((1,), [(0, -1)], 1))
 
 
 @settings(max_examples=120, deadline=None)
@@ -124,6 +180,9 @@ def test_scan_runs_to_the_end_below_full_dimension(monkeypatch):
     assert r.minima_sq == (1,) * 5
     assert r.rank == 5
     assert r == greedy_minima_oracle(s)
+    # The set sits at scale 2, the five unit witnesses at scale 1.
+    assert (s.scale, r.scale) == (2, 1)
+    assert r == MinimaResult(r.minima_sq, r.witnesses, r.rank)
     assert len(inserted) == len(s.rows)
     inserted.clear()
     assert successive_minima(s, expected_rank=5) == r
