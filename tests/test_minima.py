@@ -46,13 +46,6 @@ class TestSuccessiveMinima:
         with pytest.raises(ValueError):
             successive_minima(GeneratingSet([], 1, complete=True))
 
-    def test_witness_rows_are_ints(self):
-        basis = LatticeBasis([(F(1, 2), F(1, 2), 0), (0, 0, 1)])
-        r = successive_minima(complete_set(basis, 4), expected_rank=2)
-        assert r.scale == 2
-        assert r.rows == ((-1, -1, 0), (0, 0, -2))
-        assert all(type(c) is int for row in r.rows for c in row)
-
     def test_result_without_witnesses(self):
         r = MinimaResult((F(1), F(3)), (), 2)
         assert (r.minima_sq, r.rows, r.scale, r.rank, r.partial) == \

@@ -3,7 +3,9 @@ on the integral MLLL engine.
 
 The scan must agree with the greedy rank-recomputation oracle in every
 field, also on lattices of rank below the dimension (where it runs to the
-end of the input unless it is given the rank to stop at), and the enumerator must return
+end of the input unless it is given the rank to stop at), and with the
+frozen scan of ``reference_minima``, whose witnesses were ``Fraction``
+vectors where the scan's are integer rows; the enumerator must return
 the same vectors, and hit its cap on the same inputs, whatever basis of the
 lattice it is given, in agreement with the box-scan oracle.
 """
