@@ -9,51 +9,37 @@ and each component is such an engine, rebuilt from its rows at a merge.
 The oracle never uses it: it reads the same rows, sorts them by norm
 itself, and takes each component's basis from the Hermite normal form of
 its vertices' rows over the set's scale (``_hnf_basis``).
+
+Both list the components in increasing (squared norm, lexicographic) order
+of each one's least nonzero vector: a norm-ordered scan meets each summand
+first at that vector (Kneser), so neither route sorts them.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .core import (
-    GeneratingSet,
-    LatticeBasis,
-    Vector,
-    _column_hnf,
-    _hnf_basis,
-    _idot,
-)
+from .core import GeneratingSet, LatticeBasis, Vector, _hnf_basis, _idot
 from .reduction import DEFAULT_PARAMS, IncrementalLattice, ReductionParams
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    """The ``r`` pairwise-orthogonal indecomposable summands, in canonical
-    order; ``indices`` are their 1-based start offsets (ranks summed)."""
+    """The ``r`` pairwise-orthogonal indecomposable summands, in increasing
+    (squared norm, lexicographic) order of their least nonzero vectors;
+    ``indices`` are their 1-based start offsets (ranks summed)."""
     components: tuple[LatticeBasis, ...]
     indices: tuple[int, ...]
     r: int
 
 
-def _canonicalize(components: Sequence[LatticeBasis]) -> Decomposition:
-    """Sort components into the canonical order and assemble the output.
-
-    Each component is keyed on the Hermite normal form of its rows, rescaled
-    to the lcm of the components' scales, and the least squared norm in
-    that form.  The common scale is positive, so this orders the components
-    as the pair (least squared norm, ``canonical_basis``) of each would."""
-    lcm = math.lcm(*(c.scale for c in components))
-
-    def key(c: LatticeBasis):
-        canon = _column_hnf([[lcm // c.scale * x for x in r] for r in c.rows])
-        return min(_idot(r, r) for r in canon), canon
-    comps = tuple(sorted(components, key=key))
-    indices = tuple(accumulate((c.rank for c in comps), initial=1))[:-1]
-    return Decomposition(comps, indices, len(comps))
+def _assemble(components: Sequence[LatticeBasis]) -> Decomposition:
+    """The decomposition of components already in canonical order."""
+    indices = tuple(accumulate((c.rank for c in components), initial=1))[:-1]
+    return Decomposition(tuple(components), indices, len(components))
 
 
 def orthogonal_decomposition(s: GeneratingSet,
@@ -67,8 +53,9 @@ def orthogonal_decomposition(s: GeneratingSet,
     over that scale.  A row outside the current sum joins every component
     holding a row it is not orthogonal to (its projection onto their span is
     nonzero) into one new engine, fed the row and then the rows of the
-    joined components in list order.  ``check_invariants`` asserts pairwise
-    orthogonality after every merge.
+    joined components in list order, in the place of the first of them (at
+    the end if none), so the list stays in canonical order.
+    ``check_invariants`` asserts pairwise orthogonality after every merge.
     """
     if not s.rows:
         raise ValueError("generating set is empty")
@@ -84,13 +71,17 @@ def orthogonal_decomposition(s: GeneratingSet,
                   if any(_idot(row, b) for b in c.rows)]
         merged = IncrementalLattice(dim, params, s.scale)
         merged.extend([row, *(b for c in joined for b in c.rows)])
-        components = [c for c in components if c not in joined] + [merged]
+        # The list stays ordered by each component's first row of s: a
+        # merge keeps the place of the earliest component it joins.
+        at = components.index(joined[0]) if joined else len(components)
+        components = [c for c in components if c not in joined]
+        components.insert(at, merged)
         if check_invariants and any(
                 _idot(u, w)
                 for i, a in enumerate(components) for b in components[i + 1:]
                 for u in a.rows for w in b.rows):
             raise AssertionError("components lost pairwise orthogonality")
-    return _canonicalize([c.basis() for c in components])
+    return _assemble([c.basis() for c in components])
 
 
 def graph_decomposition_oracle(s: GeneratingSet) -> Decomposition:
@@ -98,7 +89,8 @@ def graph_decomposition_oracle(s: GeneratingSet) -> Decomposition:
     are the length-indecomposable vectors of S and whose edges join
     non-orthogonal pairs; each vertex class generates one summand, whose
     basis is the Hermite normal form of the class.  It sorts the integer
-    rows of ``s`` by norm itself."""
+    rows of ``s`` by norm itself and starts each class at its least
+    unvisited vertex, so the classes come in canonical order."""
     if not s.rows:
         raise ValueError("generating set is empty")
     if not s.complete:
@@ -131,11 +123,12 @@ def graph_decomposition_oracle(s: GeneratingSet) -> Decomposition:
             comp.extend(adjacent)
         components.append(LatticeBasis(
             _hnf_basis([vertices[i] for i in comp], s.scale)))
-    return _canonicalize(components)
+    return _assemble(components)
 
 
 def canonical_component_forms(decomp: Decomposition
                               ) -> tuple[tuple[Vector, ...], ...]:
-    """Canonical per-component bases, for equality tests between runs: as
-    hnf(kL) = k hnf(L), each is ``canonical_basis`` of its vectors."""
+    """Canonical per-component bases, in order, for equality tests between
+    runs and routes (which also checks the order): as hnf(kL) = k hnf(L),
+    each is ``canonical_basis`` of its vectors."""
     return tuple(_hnf_basis(c.rows, c.scale) for c in decomp.components)

@@ -7,7 +7,11 @@ exactly the answer of the rational elimination it replaced, frozen in
 ``reference_linalg``, and the same answer on the set's rows in any order.  The merge scan runs on the set's integer rows and
 must give exactly the decomposition of the ``Fraction`` merge frozen in
 ``reference_decompose``, and the canonical forms it is compared by must be
-``canonical_basis`` of each component.
+``canonical_basis`` of each component.  The frozen references sort their
+components on a Hermite normal form key; the library lists them in the
+order the scan meets them, so its components are re-sorted with the frozen
+``_canonicalize`` before the exact comparison, and that order is checked
+on its own.
 """
 
 from fractions import Fraction as F
@@ -30,7 +34,10 @@ from latkit import (
 from latkit.enumeration import EnumerationRequest
 
 from conftest import scrambled_block_lattices
-from reference_decompose import reference_orthogonal_decomposition
+from reference_decompose import (
+    _canonicalize as reference_canonicalize,
+    reference_orthogonal_decomposition,
+)
 from reference_hnf import reference_canonical_basis
 from reference_linalg import (
     rank_of,
@@ -72,7 +79,8 @@ def test_greedy_oracle_equals_frozen_reference(case, c, t):
 def test_graph_oracle_equals_frozen_reference(case, c, t):
     s = _block_set(case, c, t)
     assume(s.vectors)
-    assert graph_decomposition_oracle(s) == \
+    got = graph_decomposition_oracle(s)
+    assert reference_canonicalize(got.components) == \
         reference_graph_decomposition_oracle(s)
 
 
@@ -83,9 +91,33 @@ def test_graph_oracle_equals_frozen_reference(case, c, t):
 def test_decomposition_equals_frozen_merge(case, c, t):
     s = _block_set(case, c, t)
     assume(s.vectors)
-    # Equal component vectors, in the same order, and equal indices.
-    assert orthogonal_decomposition(s, check_invariants=True) == \
+    # Equal component vectors, in the same order once re-sorted as the
+    # reference sorts them, and equal indices.
+    got = orthogonal_decomposition(s, check_invariants=True)
+    assert reference_canonicalize(got.components) == \
         reference_orthogonal_decomposition(s, check_invariants=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scrambled_block_lattices(), SCALES, BOUND_FACTORS)
+@example(JOINS_TWO, F(1), F(1))
+@example(JOINS_TWO, F(1, 2), F(1))
+def test_both_routes_list_components_in_scan_order(case, c, t):
+    # Canonical order: by the first vector of s, in its (norm, lex) order,
+    # that lies in each component; membership is decided by the frozen
+    # reference.  Each route reaches that order itself, so their forms
+    # agree with no re-sort.
+    s = _block_set(case, c, t)
+    assume(s.vectors)
+    merged = orthogonal_decomposition(s)
+    oracle = graph_decomposition_oracle(s)
+    for d in (merged, oracle):
+        firsts = [next(i for i, v in enumerate(s.vectors)
+                       if reference_is_member(comp, v))
+                  for comp in d.components]
+        assert all(a < b for a, b in zip(firsts, firsts[1:]))
+    assert canonical_component_forms(merged) == \
+        canonical_component_forms(oracle)
 
 
 @settings(max_examples=150, deadline=None)
