@@ -12,6 +12,11 @@ algorithms run on it: batch reduction (``mlll``) and the incremental basis
 construction, the successive-minima scan and the short-vector enumerator
 (which reads the reduced basis's Gram-Schmidt form from ``d`` and
 ``lambda``), and the decomposition's membership scan and merge.
+
+Once the engine holds ``dim`` rows with ``d_dim = 1``, localization takes no
+arithmetic: ``d_dim`` is the squared determinant of the integer rows, so
+they generate all of ``Z^dim`` and every integer row over the scale is a
+member; the lattice only grows, so this stays true.
 """
 
 from __future__ import annotations
@@ -56,9 +61,14 @@ class IncrementalLattice:
     the span would leave a zero ``b*``; instead the engine is rebuilt from
     the HNF of its rows and that vector, so every ``b*`` stays nonzero.
 
-    ``_known`` holds every row ``insert`` has been given, once each.  The
-    lattice only grows under ``insert``, so each of them, and its negation,
-    stays a member.
+    At rank ``dim`` with ``d[dim] == 1`` the rows generate ``Z^dim``
+    (``d[dim]`` is the squared determinant of the rows), so ``insert``
+    answers every row a member at once; as the lattice only grows under
+    ``insert`` and ``extend``, that stays true.
+
+    ``_known`` holds every row ``insert`` has been given, once each, until
+    the rows span ``Z^dim``.  The lattice only grows under ``insert``, so
+    each of them, and its negation, stays a member.
     """
 
     __slots__ = ("dim", "scale", "rows", "d", "lam", "swaps", "_known",
@@ -122,13 +132,17 @@ class IncrementalLattice:
         """Localize the vector ``row / scale``, given as its integer row
         over the engine's scale; when it lies outside the lattice, add it.
 
-        Returns whether the insertion was an update.  A row equal to one
-        inserted before, or to its negation, is a member at once.  Otherwise
-        membership is the nearest-plane reduction of the lambda-row: the
-        vector is in the lattice iff it lies in the span (``d_{n+1} = 0``)
-        and each coefficient, taken from the top, is an integer multiple of
-        its ``d``.
+        Returns whether the insertion was an update.  Once the rows span
+        ``Z^dim`` (rank ``dim`` and ``d[dim] == 1``: the integer rows have
+        determinant +-1, and the lattice only grows), every row is a member
+        at once.  So is a row equal to one inserted before, or to its
+        negation.  Otherwise membership is the nearest-plane reduction of
+        the lambda-row: the vector is in the lattice iff it lies in the span
+        (``d_{n+1} = 0``) and each coefficient, taken from the top, is an
+        integer multiple of its ``d``.
         """
+        if len(self.rows) == self.dim and self.d[-1] == 1:
+            return False
         key = tuple(row)
         known = self._known
         if key in known or tuple(map(neg, key)) in known:

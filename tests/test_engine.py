@@ -11,7 +11,9 @@ the frozen rational code, ``reference_engine`` the integral swap loop as it
 was before it became one method, which must leave the same state after
 every step.  ``insert`` answers a row given to it before, or its negation,
 from its known-row set; the pool families repeat, negate and double rows to
-exercise that set.
+exercise that set.  Once the rows span ``Z^dim`` it answers every row a
+member with no arithmetic; families with the unit vectors spliced in reach
+that state part way through.
 """
 
 from fractions import Fraction as F
@@ -33,6 +35,7 @@ from latkit.reduction import IncrementalLattice
 
 from reference_engine import ReferenceLattice
 from reference_hnf import reference_canonical_basis, reference_hnf
+from reference_linalg import reference_is_member
 from reference_mlll import reference_incremental_basis, reference_mlll
 from test_reduction import check_lll_reduced
 
@@ -181,17 +184,101 @@ def test_known_rows_agree_with_is_member(family, data):
         assert lattice.insert(probe) is not expected
 
 
-def test_repeated_and_negated_rows_skip_the_localization(monkeypatch):
+def count_gram_schmidt_rows(monkeypatch):
+    """The rows ``_gram_schmidt_row`` is called on from now on."""
     calls = []
     gram_schmidt_row = IncrementalLattice._gram_schmidt_row
     monkeypatch.setattr(
         IncrementalLattice, "_gram_schmidt_row",
         lambda self, v: calls.append(tuple(v)) or gram_schmidt_row(self, v))
+    return calls
+
+
+def test_repeated_and_negated_rows_skip_the_localization(monkeypatch):
+    calls = count_gram_schmidt_rows(monkeypatch)
     lattice = IncrementalLattice(2)
     rows = [(2, 1), (1, 3), (3, 4), (2, 1), (-2, -1), (-3, -4), (3, 4),
             (4, 2), (-1, -3), [1, 3]]
     assert [lattice.insert(r) for r in rows] == [True, True] + [False] * 8
     assert calls == [(2, 1), (1, 3), (3, 4), (4, 2)]
+
+
+def test_rows_of_z3_skip_the_localization(monkeypatch):
+    # A unimodular basis of Z^3 that is not the identity: once it is in,
+    # new, repeated and negated rows are members with no Gram-Schmidt row.
+    calls = count_gram_schmidt_rows(monkeypatch)
+    lattice = IncrementalLattice(3)
+    basis = [(1, 1, 0), (0, 1, 1), (1, 1, 1)]
+    assert [lattice.insert(r) for r in basis] == [True] * 3
+    assert (lattice.rank, lattice.d[-1], len(calls)) == (3, 1, 3)
+    state = _state(lattice)
+    rows = [(5, -7, 2), (0, 1, 1), (-1, -1, -1), (0, 0, 0), (1, 0, 0)]
+    assert [lattice.insert(r) for r in rows] == [False] * 5
+    assert len(calls) == 3
+    assert _state(lattice) == state
+
+
+def test_half_integer_rows_spanning_z2_skip_the_localization(monkeypatch):
+    # Over scale 2 the rows (1, 0) and (1, 1) span Z^2: the lattice is
+    # Z^2 / 2, and every row over scale 2 lies in it.
+    calls = count_gram_schmidt_rows(monkeypatch)
+    gens = [(F(1, 2), 0), (F(1, 2), F(1, 2)), (F(3, 2), F(-1, 2)), (1, 1)]
+    lattice, rows = IncrementalLattice.over(gens)
+    assert lattice.scale == 2
+    assert [lattice.insert(r) for r in rows] == [True, True, False, False]
+    assert calls == [(1, 0), (1, 1)]
+    assert lattice.insert((7, -3)) is False
+    assert len(calls) == 2
+    assert lattice.volume_sq == F(1, 16)
+
+
+def test_full_rank_of_index_two_still_localizes(monkeypatch):
+    # (2, 0), (0, 1) has full rank but d[2] = 4: (4, 1) is localized and
+    # is a member, (1, 0) is localized and rebuilds (the rebuild's extend
+    # takes the Gram-Schmidt rows of the HNF); then Z^2 is reached.
+    calls = count_gram_schmidt_rows(monkeypatch)
+    lattice = IncrementalLattice(2)
+    assert [lattice.insert(r) for r in [(2, 0), (0, 1)]] == [True, True]
+    assert (lattice.rank, lattice.d[-1]) == (2, 4)
+    assert lattice.insert((4, 1)) is False
+    assert calls[2:] == [(4, 1)]
+    assert lattice.insert((1, 0)) is True
+    assert calls[3] == (1, 0)
+    assert (lattice.rank, lattice.d[-1]) == (2, 1)
+    n = len(calls)
+    assert lattice.insert((3, 5)) is False
+    assert len(calls) == n
+
+
+@st.composite
+def families_reaching_z_dim(draw):
+    """A generator family with the unit vectors over its denominator
+    spliced in at random places: it generates ``Z^d / scale``."""
+    d, gens = draw(generator_families())
+    scale = IncrementalLattice.over(gens)[0].scale if gens else 1
+    gens = list(gens)
+    for c in range(d):
+        unit = tuple(F(int(i == c), scale) for i in range(d))
+        gens.insert(draw(st.integers(0, len(gens))), unit)
+    return d, gens
+
+
+@settings(max_examples=200, deadline=None)
+@given(families_reaching_z_dim(), params_st)
+def test_verdicts_past_z_dim_equal_reference_is_member(family, params):
+    # Every verdict equals the frozen HNF reference's on the basis before
+    # the insertion, and the frozen swap loop leaves the same state.
+    d, gens = family
+    lattice, rows = IncrementalLattice.over(gens, params)
+    frozen = ReferenceLattice(lattice.dim, params, lattice.scale)
+    for row, v in zip(rows, gens):
+        if not any(row):
+            continue
+        expected = reference_is_member(lattice.basis(), v)
+        assert lattice.insert(row) is not expected
+        frozen.insert(row)
+        assert _state(lattice) == _state(frozen)
+    assert (lattice.rank, lattice.d[-1]) == (d, 1)
 
 
 @settings(max_examples=200, deadline=None)

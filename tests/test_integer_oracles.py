@@ -138,6 +138,20 @@ def test_component_forms_equal_canonical_basis(case, c, t):
 
 
 @settings(max_examples=150, deadline=None)
+@given(scrambled_block_lattices(), SCALES, BOUND_FACTORS)
+@example(JOINS_TWO, F(1), F(1))
+@example(JOINS_TWO, F(1, 2), F(1))
+def test_graph_oracle_bases_are_their_forms(case, c, t):
+    # The oracle takes each component's basis from its Hermite normal
+    # form, so decompose --verify reads the oracle's forms off its bases.
+    s = _block_set(case, c, t)
+    assume(s.vectors)
+    oracle = graph_decomposition_oracle(s)
+    assert canonical_component_forms(oracle) == \
+        tuple(comp.vectors for comp in oracle.components)
+
+
+@settings(max_examples=150, deadline=None)
 @given(scrambled_block_lattices(), st.sampled_from([1, 2, 3, 6]),
        BOUND_FACTORS, st.booleans())
 @example(JOINS_TWO, 1, F(1), False)
