@@ -3,12 +3,13 @@
 Two routes to the same (Eichler-unique) answer: an incremental merge scan
 over a complete generating set, and a graph oracle that takes connected
 components of the non-orthogonality graph on length-indecomposable vectors.
-The scan runs on the set's integer rows: it tests each row for membership
-in the running sum with the integral MLLL engine of ``latkit.reduction``,
-and each component is such an engine, rebuilt from its rows at a merge.
-The oracle never uses it: it reads the same rows, sorts them by norm
-itself, and takes each component's basis from the Hermite normal form of
-its vertices' rows over the set's scale (``_hnf_basis``).
+The scan runs on the set's integer rows: it tests each row below zero (first
+nonzero entry negative) for membership in the running sum with the integral
+MLLL engine of ``latkit.reduction``; its negation, which follows it in a
+complete set, is then a member.  Each component is such an engine, rebuilt
+from its rows at a merge.  The oracle never uses it: it reads the same rows,
+sorts them by norm itself, and takes each component's basis from the Hermite
+normal form of its vertices' rows over the set's scale (``_hnf_basis``).
 
 Both list the components in increasing (squared norm, lexicographic) order
 of each one's least nonzero vector: a norm-ordered scan meets each summand
@@ -20,7 +21,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
 
 from .core import GeneratingSet, LatticeBasis, Vector, _hnf_basis, _idot
 from .reduction import DEFAULT_PARAMS, IncrementalLattice, ReductionParams
@@ -32,14 +32,15 @@ class Decomposition:
     (squared norm, lexicographic) order of their least nonzero vectors;
     ``indices`` are their 1-based start offsets (ranks summed)."""
     components: tuple[LatticeBasis, ...]
-    indices: tuple[int, ...]
-    r: int
 
+    @property
+    def r(self) -> int:
+        return len(self.components)
 
-def _assemble(components: Sequence[LatticeBasis]) -> Decomposition:
-    """The decomposition of components already in canonical order."""
-    indices = tuple(accumulate((c.rank for c in components), initial=1))[:-1]
-    return Decomposition(tuple(components), indices, len(components))
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return tuple(accumulate((c.rank for c in self.components),
+                                initial=1))[:-1]
 
 
 def orthogonal_decomposition(s: GeneratingSet,
@@ -50,11 +51,12 @@ def orthogonal_decomposition(s: GeneratingSet,
 
     Vectors are scanned in the nondecreasing norm order of ``s``, as the
     integer rows ``s.rows`` over ``s.scale``; each component is an engine
-    over that scale.  A row outside the current sum joins every component
-    holding a row it is not orthogonal to (its projection onto their span is
-    nonzero) into one new engine, fed the row and then the rows of the
-    joined components in list order, in the place of the first of them (at
-    the end if none), so the list stays in canonical order.
+    over that scale.  A row above zero is passed over, as its negation came
+    first.  A row outside the current sum joins every component holding a
+    row it is not orthogonal to (its projection onto their span is nonzero)
+    into one new engine, fed the row and then the rows of the joined
+    components in list order, in the place of the first of them (at the end
+    if none), so the list stays in canonical order.
     ``check_invariants`` asserts pairwise orthogonality after every merge.
     """
     if not s.rows:
@@ -62,10 +64,11 @@ def orthogonal_decomposition(s: GeneratingSet,
     if not s.complete:
         raise ValueError("orthogonal decomposition requires a complete set")
     dim = len(s.rows[0])
+    zero = (0,) * dim
     components: list[IncrementalLattice] = []
     total = IncrementalLattice(dim, params, s.scale)
     for row in s.rows:
-        if not total.insert(row):
+        if row > zero or not total.insert(row):
             continue
         joined = [c for c in components
                   if any(_idot(row, b) for b in c.rows)]
@@ -81,7 +84,7 @@ def orthogonal_decomposition(s: GeneratingSet,
                 for i, a in enumerate(components) for b in components[i + 1:]
                 for u in a.rows for w in b.rows):
             raise AssertionError("components lost pairwise orthogonality")
-    return _assemble([c.basis() for c in components])
+    return Decomposition(tuple(c.basis() for c in components))
 
 
 def graph_decomposition_oracle(s: GeneratingSet) -> Decomposition:
@@ -123,7 +126,7 @@ def graph_decomposition_oracle(s: GeneratingSet) -> Decomposition:
             comp.extend(adjacent)
         components.append(LatticeBasis(
             _hnf_basis([vertices[i] for i in comp], s.scale)))
-    return _assemble(components)
+    return Decomposition(tuple(components))
 
 
 def canonical_component_forms(decomp: Decomposition

@@ -62,14 +62,20 @@ def incremental_basis(generators: Sequence, params: ReductionParams =
 
     Zero generators are dropped silently; every nonzero generator produces
     one trace record (duplicates and members count as localization-only
-    steps).
+    steps; the lattice only grows, so a duplicate needs no ``insert``).
     """
     lattice, rows = IncrementalLattice.over(generators, params)
     steps = []
+    seen: set[tuple[int, ...]] = set()
     for i, row in enumerate(rows):
         if not any(row):
             continue
-        was_update = lattice.insert(row)
+        key = tuple(row)
+        if key in seen:
+            was_update = False
+        else:
+            seen.add(key)
+            was_update = lattice.insert(row)
         r = lattice.rank
         steps.append((i, was_update, r, lattice.d[r]))
     return lattice.basis(), UpdateTrace(tuple(steps), lattice.scale,

@@ -4,9 +4,11 @@ Vectors are scanned in nondecreasing norm, the order a ``GeneratingSet``
 keeps them in, and inserted one by one into the integral MLLL engine of
 ``latkit.reduction``; each one that raises the rank of the running lattice
 extends its span and contributes the next minimum.  A complete input set
-guarantees the scan meets a witness of every minimum in order.  The greedy
-oracle recomputes ranks from the Hermite normal form instead.  Both keep
-their witnesses as the set's integer rows, over its scale, up to the
+guarantees the scan meets a witness of every minimum in order; it holds
+``-v`` with every ``v``, the row below zero (first nonzero entry negative)
+first, so the scan inserts only rows below zero.  The greedy oracle
+recomputes ranks from the Hermite normal form instead, on every row.  Both
+keep their witnesses as the set's integer rows, over its scale, up to the
 result.
 """
 
@@ -84,10 +86,11 @@ def successive_minima(s: GeneratingSet,
     if not s.complete:
         raise ValueError("successive minima require a complete set")
     lattice = IncrementalLattice(len(s.rows[0]), scale=s.scale)
+    zero = (0,) * lattice.dim
     minima: list[Fraction] = []
     witnesses: list[tuple[int, ...]] = []
     for row in s.rows:
-        if lattice.insert(row) and lattice.rank > len(minima):
+        if row < zero and lattice.insert(row) and lattice.rank > len(minima):
             witnesses.append(row)
             minima.append(Fraction(_idot(row, row), s.scale ** 2))
             if lattice.rank == (expected_rank or lattice.dim):

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import neg
 from typing import Iterable, Sequence
 
 from .core import LatticeBasis, _column_hnf, _idot, integerize
@@ -65,14 +64,9 @@ class IncrementalLattice:
     (``d[dim]`` is the squared determinant of the rows), so ``insert``
     answers every row a member at once; as the lattice only grows under
     ``insert`` and ``extend``, that stays true.
-
-    ``_known`` holds every row ``insert`` has been given, once each, until
-    the rows span ``Z^dim``.  The lattice only grows under ``insert``, so
-    each of them, and its negation, stays a member.
     """
 
-    __slots__ = ("dim", "scale", "rows", "d", "lam", "swaps", "_known",
-                 "_p", "_q")
+    __slots__ = ("dim", "scale", "rows", "d", "lam", "swaps", "_p", "_q")
 
     def __init__(self, dim: int, params: ReductionParams = DEFAULT_PARAMS,
                  scale: int = 1):
@@ -82,7 +76,6 @@ class IncrementalLattice:
         self.d: list[int] = [1]
         self.lam: list[list[int]] = []
         self.swaps = 0
-        self._known: set[tuple[int, ...]] = set()
         self._p = params.delta.numerator
         self._q = params.delta.denominator
 
@@ -123,7 +116,7 @@ class IncrementalLattice:
     def extend(self, rows: Iterable[Sequence[int]]) -> None:
         """Batch MLLL: every nonzero row, an integer row over the engine's
         scale, goes through the swap loop in order, with no membership
-        shortcut and without entering the known-row set."""
+        test."""
         for row in rows:
             if any(row):
                 self._add(row, *self._gram_schmidt_row(row))
@@ -135,23 +128,17 @@ class IncrementalLattice:
         Returns whether the insertion was an update.  Once the rows span
         ``Z^dim`` (rank ``dim`` and ``d[dim] == 1``: the integer rows have
         determinant +-1, and the lattice only grows), every row is a member
-        at once.  So is a row equal to one inserted before, or to its
-        negation.  Otherwise membership is the nearest-plane reduction of
+        at once.  Otherwise membership is the nearest-plane reduction of
         the lambda-row: the vector is in the lattice iff it lies in the span
         (``d_{n+1} = 0``) and each coefficient, taken from the top, is an
         integer multiple of its ``d``.
         """
         if len(self.rows) == self.dim and self.d[-1] == 1:
             return False
-        key = tuple(row)
-        known = self._known
-        if key in known or tuple(map(neg, key)) in known:
-            return False
         lam_row, dn = self._gram_schmidt_row(row)
         was_update = dn != 0 or not self._reduces_to_zero(lam_row)
         if was_update:
             self._add(row, lam_row, dn)
-        known.add(key)
         return was_update
 
     # -- state ----------------------------------------------------------

@@ -3,7 +3,9 @@ it before the merge moved to the set's integer rows, kept as test code only.
 
 ``projection_nonzero``, ``_assert_pairwise_orthogonal`` and ``_canonicalize``
 are copied unchanged (save that ``_canonicalize`` no longer collects the
-``grouped_basis`` that ``Decomposition`` has dropped), and
+``grouped_basis`` that ``Decomposition`` has dropped, and checks its own
+``indices`` and ``r`` against the properties of the ``Decomposition`` it
+builds, which now stores only the components), and
 ``reference_orthogonal_decomposition`` is the old
 ``orthogonal_decomposition``: each component a ``LatticeBasis`` of
 ``Fraction`` vectors, joined by ``Fraction`` inner products and reduced
@@ -61,7 +63,9 @@ def _canonicalize(components: Sequence[LatticeBasis]) -> Decomposition:
     for c in comps:
         indices.append(pos)
         pos += c.rank
-    return Decomposition(comps, tuple(indices), len(comps))
+    decomp = Decomposition(comps)
+    assert (decomp.indices, decomp.r) == (tuple(indices), len(comps))
+    return decomp
 
 
 def reference_orthogonal_decomposition(

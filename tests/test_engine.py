@@ -9,11 +9,14 @@ Lovász-reduced by the frozen rational Gram-Schmidt.  Trace records and
 membership answers equal the references' always.  ``reference_mlll`` holds
 the frozen rational code, ``reference_engine`` the integral swap loop as it
 was before it became one method, which must leave the same state after
-every step.  ``insert`` answers a row given to it before, or its negation,
-from its known-row set; the pool families repeat, negate and double rows to
-exercise that set.  Once the rows span ``Z^dim`` it answers every row a
-member with no arithmetic; families with the unit vectors spliced in reach
-that state part way through.
+every step.  ``insert`` answers from the engine's state alone: once the rows
+span ``Z^dim`` it answers every row a member with no arithmetic (families
+with the unit vectors spliced in reach that state part way through), and
+otherwise it runs the nearest-plane test, also on a row it was given
+before; the pool families repeat, negate and double rows.  Its callers
+skip rows they know to be members: ``incremental_basis`` a repeated
+generator, and the minima and decomposition scans each row above zero,
+whose negation came before it in the complete set.
 """
 
 from fractions import Fraction as F
@@ -23,12 +26,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latkit import (
+    EnumerationRequest,
+    LatticeBasis,
     ReductionParams,
+    canonical_component_forms,
+    enumerate_up_to,
     generating_subset,
+    graph_decomposition_oracle,
+    greedy_minima_oracle,
     incremental_basis,
     is_member,
     lattice_equal,
     mlll,
+    orthogonal_decomposition,
+    successive_minima,
 )
 from latkit.cli import bench_row
 from latkit.reduction import IncrementalLattice
@@ -55,9 +66,9 @@ def generator_families(draw):
     if kind == "free":
         gens = draw(st.lists(row, min_size=m, max_size=m))
     elif kind == "pool":
-        # Repeats, negations and doubles of a few rows: the known-row set
-        # answers the first two, and a row can come after its double, under
-        # which it need not be a member.
+        # Repeats, negations and doubles of a few rows: ``incremental_basis``
+        # records a repeat without an insert, and a row can come after its
+        # double, under which it need not be a member.
         pool = draw(st.lists(row, min_size=1, max_size=3))
         pick = st.tuples(st.sampled_from(pool),
                          st.sampled_from([1, -1, 2, -2]))
@@ -194,13 +205,56 @@ def count_gram_schmidt_rows(monkeypatch):
     return calls
 
 
-def test_repeated_and_negated_rows_skip_the_localization(monkeypatch):
-    calls = count_gram_schmidt_rows(monkeypatch)
-    lattice = IncrementalLattice(2)
+def test_incremental_basis_localizes_each_distinct_generator_once(
+        monkeypatch):
+    # A repeated generator is recorded as a member with no Gram-Schmidt
+    # row; a negated one is a new row and is localized.  The trace is the
+    # one an engine given every row reads, and the frozen loop's.
     rows = [(2, 1), (1, 3), (3, 4), (2, 1), (-2, -1), (-3, -4), (3, 4),
-            (4, 2), (-1, -3), [1, 3]]
-    assert [lattice.insert(r) for r in rows] == [True, True] + [False] * 8
-    assert calls == [(2, 1), (1, 3), (3, 4), (4, 2)]
+            (4, 2), (0, 0), (-1, -3), [1, 3]]
+    bare, steps = IncrementalLattice(2), []
+    for i, row in enumerate(rows):
+        if any(row):
+            was_update = bare.insert(row)
+            steps.append((i, was_update, bare.rank, bare.d[bare.rank]))
+    calls = count_gram_schmidt_rows(monkeypatch)
+    basis, trace = incremental_basis(rows)
+    assert calls == [(2, 1), (1, 3), (3, 4), (-2, -1), (-3, -4), (4, 2),
+                     (-1, -3)]
+    assert trace.steps == tuple(steps)
+    assert [u for _, u, _, _ in trace.steps] == [True, True] + [False] * 8
+    assert trace.insertions == reference_incremental_basis(rows)[1]
+    assert basis == bare.basis()
+
+
+@pytest.mark.parametrize("basis, bound_sq", [
+    (LatticeBasis([(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1),
+                   (0, 0, 1, 1)]), 2),
+    (LatticeBasis([(F(1, 2), 0, 0), (0, 1, 1), (0, 1, -1)]), 3),
+    (LatticeBasis([(2, 1, 0, 0), (1, 2, 0, 0), (0, 0, 1, 1)]), 6),
+])
+def test_scans_insert_only_rows_below_zero(monkeypatch, basis, bound_sq):
+    # The decomposition scan inserts every row below zero of the set, in
+    # order, and the minima scan a prefix of them; both still agree with
+    # their oracles, which read every row.
+    s = enumerate_up_to(EnumerationRequest(basis, bound_sq))
+    below = [row for row in s.rows if row < (0,) * basis.dim]
+    assert 2 * len(below) == len(s.rows)
+    inserted = []
+    insert = IncrementalLattice.insert
+    monkeypatch.setattr(
+        IncrementalLattice, "insert",
+        lambda self, row: inserted.append(row) or insert(self, row))
+    decomp = orthogonal_decomposition(s)
+    assert inserted == below
+    inserted.clear()
+    minima = successive_minima(s)
+    assert inserted == below[:len(inserted)]
+    inserted.clear()
+    assert canonical_component_forms(decomp) == \
+        canonical_component_forms(graph_decomposition_oracle(s))
+    assert minima == greedy_minima_oracle(s)
+    assert inserted == []
 
 
 def test_rows_of_z3_skip_the_localization(monkeypatch):

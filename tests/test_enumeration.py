@@ -18,7 +18,7 @@ from latkit import (
 )
 from latkit.reduction import IncrementalLattice
 
-from conftest import d4_basis, random_reduced_basis
+from conftest import d4_basis, random_reduced_basis, scrambled_block_lattices
 from reference_enumeration import box_oracle, reference_enumerate_up_to
 from reference_mlll import reference_mlll
 
@@ -180,6 +180,24 @@ def test_matches_frozen_enumerator_and_box_oracle(case, on_engine):
         assert got == want
         assert got.rows == want.rows
         assert got.scale == want.scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_bases().filter(lambda case: case is not None)
+                 .map(lambda case: (case[0], case[2])),
+                 scrambled_block_lattices()))
+def test_set_holds_each_negation_after_the_row_below_zero(case):
+    """What the minima and decomposition scans rely on when they insert
+    only rows below zero (first nonzero entry negative): each row of the
+    set has its negation in the set, once, and of the two the row below
+    zero comes first."""
+    basis, bound_sq = case
+    s = enumerate_up_to(EnumerationRequest(basis, bound_sq))
+    zero = (0,) * basis.dim
+    place = {row: i for i, row in enumerate(s.rows)}
+    assert len(place) == len(s.rows)
+    for i, row in enumerate(s.rows):
+        assert (i < place[tuple(-c for c in row)]) == (row < zero)
 
 
 class TestBoxOracle:

@@ -162,9 +162,10 @@ def test_scan_runs_to_the_end_below_full_dimension(monkeypatch):
     # Z^5 + (1/2, ..., 1/2) in dimension 6: the five unit vectors give
     # every minimum but generate an index-2 sublattice, and the rank never
     # reaches the dimension, so without the rank the scan goes on through
-    # the 32 half vectors.  Each one extends the running lattice without
-    # raising its rank, and none of them may count as a witness.  Given
-    # the rank, the scan stops at the fifth witness.
+    # the 16 half vectors below zero (the other 16 are their negations).
+    # Each one extends the running lattice without raising its rank, and
+    # none of them may count as a witness.  Given the rank, the scan stops
+    # at the fifth witness.
     h = (F(1, 2),) * 5 + (0,)
     units = [tuple(int(i == j) for j in range(6)) for i in range(4)]
     s = enumerate_up_to(EnumerationRequest(LatticeBasis(units + [h]),
@@ -185,8 +186,12 @@ def test_scan_runs_to_the_end_below_full_dimension(monkeypatch):
     # The set sits at scale 2, the five unit witnesses at scale 1.
     assert (s.scale, r.scale) == (2, 1)
     assert r == MinimaResult(r.minima_sq, r.witnesses, r.rank)
-    assert len(inserted) == len(s.rows)
+    zero = (0,) * 6
+    below = [row for row in s.rows if row < zero]
+    assert len(below) == 5 + 16
+    assert inserted == below
     inserted.clear()
     assert successive_minima(s, expected_rank=5) == r
-    assert inserted == list(s.rows[:s.vectors.index(r.witnesses[-1]) + 1])
-    assert len(inserted) < len(s.rows)
+    last = s.vectors.index(r.witnesses[-1])
+    assert inserted == [row for row in s.rows[:last + 1] if row < zero]
+    assert len(inserted) < len(below)
