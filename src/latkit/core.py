@@ -3,10 +3,10 @@
 A family of rational vectors is carried as integer rows over one positive
 common denominator, its ``scale``: ``integerize`` is the one normalizer of
 vectors handed in (``int`` and ``Fraction`` entries, or anything
-``Fraction()`` accepts), and ``LatticeBasis`` and ``GeneratingSet`` keep
-only those rows and that scale (for a ``GeneratingSet``, the least common
-denominator, which ``_lowest_terms`` takes rows to).  ``Fraction`` vectors
-are formed only where the API hands vectors out: their ``vectors``,
+``Fraction()`` accepts), and ``LatticeBasis``, ``GeneratingSet`` and
+``MinimaResult`` keep only rows over their least common denominator, which
+``_set_rows`` takes rows and scale to.  ``Fraction`` vectors are formed
+only where the API hands vectors out: their ``vectors``,
 ``MinimaResult.witnesses`` and ``canonical_basis``.  Norms and volumes
 are carried as squared quantities, so every comparison stays rational; the
 independence check of ``LatticeBasis``, the norm order of ``GeneratingSet``
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import mul
+from operator import mul, neg
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -53,18 +53,22 @@ def _det_bareiss_int(m: list[list[int]]) -> int:
     return m[n - 1][n - 1]
 
 
+@dataclass(frozen=True, slots=True)
 class LatticeBasis:
     """Ordered linearly independent vectors with their squared volume (the
     Gram determinant), computed once: by the independence check, or by the
     MLLL engine that hands its output to ``_trusted``.
 
-    The vectors are kept as integer rows over a positive common denominator:
-    ``rows`` is a tuple of int tuples and ``vectors[i] == rows[i] / scale``,
-    formed as ``Fraction``s on each access.  The check runs on the rows
-    (``integerize`` of the input): the Gram determinant ``D`` of the rows is
-    taken fraction-free, and ``volume_sq = D / scale^(2n)``."""
+    The vectors are kept as integer rows over their least common
+    denominator, as for ``GeneratingSet``: ``vectors[i] == rows[i] /
+    scale``, formed as ``Fraction``s on each access.  The check runs on the
+    rows (``integerize`` of the input): the Gram determinant ``D`` of the
+    rows is taken fraction-free, and ``volume_sq = D / scale^(2n)``."""
 
-    __slots__ = ("rows", "scale", "volume_sq", "dim")
+    rows: tuple[tuple[int, ...], ...]
+    scale: int
+    volume_sq: Fraction
+    dim: int
 
     def __init__(self, vectors: Iterable, dim: Optional[int] = None):
         rows, scale = integerize(vectors)
@@ -77,21 +81,16 @@ class LatticeBasis:
         det = _det_bareiss_int([[_idot(u, v) for v in rows] for u in rows])
         if det == 0:
             raise ValueError("basis vectors are linearly dependent")
-        self.rows = tuple(map(tuple, rows))
-        self.scale = scale
-        self.dim = dim if dim is not None else 0
-        self.volume_sq = Fraction(det, scale ** (2 * len(rows)))
+        _set_rows(self, rows, scale, dim=dim or 0,
+                  volume_sq=Fraction(det, scale ** (2 * len(rows))))
 
     @classmethod
-    def _trusted(cls, rows: tuple[tuple[int, ...], ...], scale: int,
+    def _trusted(cls, rows: Iterable[Sequence[int]], scale: int,
                  volume_sq: Fraction, dim: int) -> "LatticeBasis":
         """A basis from integer rows over ``scale``, independent by
         construction (the output of a reduction); skips the check."""
         basis = object.__new__(cls)
-        basis.rows = rows
-        basis.scale = scale
-        basis.volume_sq = volume_sq
-        basis.dim = dim
+        _set_rows(basis, rows, scale, volume_sq=volume_sq, dim=dim)
         return basis
 
     @property
@@ -106,14 +105,6 @@ class LatticeBasis:
     def __repr__(self):
         return f"LatticeBasis({list(self.vectors)!r})"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LatticeBasis) and self.vectors == other.vectors
-        )
-
-    def __hash__(self):
-        return hash(self.vectors)
-
 
 @dataclass(frozen=True)
 class GeneratingSet:
@@ -123,7 +114,8 @@ class GeneratingSet:
     are rejected.
 
     ``complete`` means the producer asserts the set contains every nonzero
-    lattice vector of squared norm at most ``bound_sq``.
+    lattice vector of squared norm at most ``bound_sq``; so it holds ``-v``
+    with every ``v``, which the constructor checks and ``from_rows`` trusts.
 
     The vectors are kept as integer rows over their least common
     denominator, ``vectors[i] == rows[i] / scale``, formed as ``Fraction``s
@@ -138,25 +130,30 @@ class GeneratingSet:
 
     def __init__(self, vectors, bound_sq, complete=False):
         self._init_rows(*integerize(vectors), bound_sq, complete)
+        rows = self.rows
+        if complete and {*rows} != {tuple(map(neg, r)) for r in rows}:
+            raise ValueError("a complete set must hold -v with every v")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], scale: int, bound_sq,
                   complete: bool = False) -> "GeneratingSet":
         """The set of the vectors ``row / scale``, for integer rows over one
-        positive common denominator ``scale``; zero rows are dropped."""
+        positive common denominator ``scale``; zero rows are dropped.  A
+        ``complete`` set must hold ``-r`` with every ``r``, unchecked here:
+        ``enumerate_up_to`` emits each row with its negation."""
         s = object.__new__(cls)
         s._init_rows(rows, scale, bound_sq, complete)
         return s
 
     def _init_rows(self, rows, scale, bound_sq, complete) -> None:
-        if scale < 1:
-            raise ValueError(f"scale must be a positive integer, got {scale}")
         bound_sq = Fraction(bound_sq)
-        # n <= bound_sq * scale^2 iff n <= its floor, n being an integer.
-        limit = bound_sq.numerator * scale * scale // bound_sq.denominator
-        rows = [tuple(r) for r in rows]
+        _set_rows(self, rows, scale, bound_sq=bound_sq,
+                  complete=bool(complete))
+        rows, scale = self.rows, self.scale
         if len({len(r) for r in rows}) > 1:
             raise ValueError("vectors have mixed dimensions")
+        # n <= bound_sq * scale^2 iff n <= its floor, n being an integer.
+        limit = bound_sq.numerator * scale * scale // bound_sq.denominator
         keyed = []
         for r in rows:
             n = _idot(r, r)
@@ -169,11 +166,7 @@ class GeneratingSet:
             keyed.append((n, r))
         # With scale > 0, (n, r) orders as (norm_sq, r / scale) does.
         keyed.sort()
-        rows, scale = _lowest_terms(tuple(r for _, r in keyed), scale)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "bound_sq", bound_sq)
-        object.__setattr__(self, "complete", bool(complete))
+        object.__setattr__(self, "rows", tuple(r for _, r in keyed))
 
     vectors = LatticeBasis.vectors      # rows / scale, on each access
 
@@ -196,15 +189,19 @@ def integerize(vectors: Iterable) -> tuple[list[list[int]], int]:
     return vs, scale
 
 
-def _lowest_terms(rows: tuple[tuple[int, ...], ...], scale: int
-                  ) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Integer rows over a positive ``scale``, and that scale, both divided
-    by their gcd: the same vectors over their least common denominator."""
-    if scale > 1:
-        g = math.gcd(scale, *(c for r in rows for c in r))
-        if g > 1:
-            return tuple(tuple(c // g for c in r) for r in rows), scale // g
-    return rows, scale
+def _set_rows(obj, rows: Iterable, scale: int, **fields) -> None:
+    """Set ``obj.rows`` and ``obj.scale`` from integer rows over a positive
+    ``scale``, both divided by their gcd (the same vectors over their least
+    common denominator, unique, so equality and hashing on them are those
+    on the vectors), the rows as int tuples; then the other ``fields``."""
+    if scale < 1:
+        raise ValueError(f"scale must be a positive integer, got {scale}")
+    rows = tuple(map(tuple, rows))
+    g = math.gcd(scale, *chain.from_iterable(rows)) if scale > 1 else 1
+    if g > 1:
+        rows = tuple(tuple(c // g for c in r) for r in rows)
+    for name, value in dict(fields, rows=rows, scale=scale // g).items():
+        object.__setattr__(obj, name, value)
 
 
 def _column_hnf(rows: Sequence) -> tuple[tuple[int, ...], ...]:

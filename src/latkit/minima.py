@@ -24,7 +24,7 @@ from .core import (
     LatticeBasis,
     _column_hnf,
     _idot,
-    _lowest_terms,
+    _set_rows,
     integerize,
 )
 from .reduction import IncrementalLattice
@@ -48,7 +48,8 @@ class MinimaResult:
     partial: bool = False
 
     def __init__(self, minima_sq, witnesses, rank, partial=False):
-        self._init_rows(minima_sq, *integerize(witnesses), rank, partial)
+        _set_rows(self, *integerize(witnesses), minima_sq=tuple(minima_sq),
+                  rank=rank, partial=partial)
 
     @classmethod
     def from_rows(cls, minima_sq, rows: Sequence[Sequence[int]], scale: int,
@@ -56,18 +57,9 @@ class MinimaResult:
         """The result whose witnesses are ``row / scale``, for integer rows
         over one positive common denominator ``scale``."""
         result = object.__new__(cls)
-        result._init_rows(minima_sq, rows, scale, rank, partial)
+        _set_rows(result, rows, scale, minima_sq=tuple(minima_sq), rank=rank,
+                  partial=partial)
         return result
-
-    def _init_rows(self, minima_sq, rows, scale, rank, partial) -> None:
-        if scale < 1:
-            raise ValueError(f"scale must be a positive integer, got {scale}")
-        rows, scale = _lowest_terms(tuple(map(tuple, rows)), scale)
-        object.__setattr__(self, "minima_sq", tuple(minima_sq))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "partial", partial)
 
     witnesses = LatticeBasis.vectors    # rows / scale, on each access
 

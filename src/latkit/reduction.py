@@ -108,10 +108,10 @@ class IncrementalLattice:
         return Fraction(self.d[n], self.scale ** (2 * n))
 
     def basis(self) -> LatticeBasis:
-        """The current reduced basis: its rows over the engine's scale, with
-        ``volume_sq`` from ``d``."""
-        return LatticeBasis._trusted(tuple(map(tuple, self.rows)), self.scale,
-                                     self.volume_sq, self.dim)
+        """The current reduced basis: its rows over the engine's scale, in
+        lowest terms, with ``volume_sq`` from ``d``."""
+        return LatticeBasis._trusted(self.rows, self.scale, self.volume_sq,
+                                     self.dim)
 
     def extend(self, rows: Iterable[Sequence[int]]) -> None:
         """Batch MLLL: every nonzero row, an integer row over the engine's

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -291,6 +292,8 @@ def integer_rows(draw):
 @given(integer_rows(), st.booleans())
 def test_from_rows_matches_rational_constructor(case, complete):
     rows, scale, bound = case
+    if complete:    # a complete set holds -r with r; from_rows trusts that
+        rows = rows + [tuple(-c for c in r) for r in rows]
     want = _outcome(lambda: GeneratingSet(
         [[F(c, scale) for c in r] for r in rows], bound, complete))
     got = _outcome(lambda: GeneratingSet.from_rows(
@@ -584,3 +587,22 @@ def test_basis_repr_lists_fraction_vectors():
     assert repr(LatticeBasis([(1, F(1, 2)), (0, 2)])) == \
         "LatticeBasis([(Fraction(1, 1), Fraction(1, 2)), " \
         "(Fraction(0, 1), Fraction(2, 1))])"
+
+
+def test_basis_fields_are_frozen():
+    b = LatticeBasis([(1, F(1, 2)), (0, 2)])
+    for name in ("rows", "scale", "volume_sq", "dim"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(b, name, getattr(b, name))
+
+
+def test_complete_set_must_hold_each_negation():
+    # Without (-1, 0) and (0, -1) the scans, which insert only the rows
+    # below zero, would find no minimum and no component.
+    with pytest.raises(ValueError,
+                       match="^a complete set must hold -v with every v$"):
+        GeneratingSet([(1, 0), (0, 1)], 1, complete=True)
+    assert not GeneratingSet([(1, 0), (0, 1)], 1).complete
+    s = GeneratingSet([(1, 0), (0, 1), (0, -1), (-1, 0)], 1, complete=True)
+    assert successive_minima(s).minima_sq == (1, 1)
+    assert orthogonal_decomposition(s).r == 2

@@ -14,6 +14,7 @@ order the scan meets them, so its components are re-sorted with the frozen
 on its own.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -27,7 +28,9 @@ from latkit import (
     enumerate_up_to,
     graph_decomposition_oracle,
     greedy_minima_oracle,
+    incremental_basis,
     is_member,
+    mlll,
     orthogonal_decomposition,
     successive_minima,
 )
@@ -168,6 +171,28 @@ def test_component_forms_equal_frozen_reference(case, k, t, pad):
     for d in (orthogonal_decomposition(s), graph_decomposition_oracle(s)):
         assert canonical_component_forms(d) == \
             tuple(reference_canonical_basis(c.vectors) for c in d.components)
+
+
+# The lattice of cross.lat: at bound 1 its second component, (0, 1), lies
+# in a set over scale 2, and is kept over scale 1.
+CROSS = (LatticeBasis([(F(1, 2), 0), (0, 1)]), 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scrambled_block_lattices(), SCALES)
+@example(CROSS, F(1))
+def test_returned_bases_are_over_their_least_common_denominator(case, c):
+    # Each basis the library returns keeps its rows in lowest terms, so
+    # equality and hashing on its fields are those on its vectors.
+    s = _block_set(case, c, F(1))
+    assume(s.rows)
+    bases = [incremental_basis(s.vectors)[0], mlll(s.vectors)]
+    for d in (orthogonal_decomposition(s), graph_decomposition_oracle(s)):
+        bases += d.components
+    for b in bases:
+        assert math.gcd(b.scale, *(x for r in b.rows for x in r)) == 1
+        assert b == LatticeBasis(b.vectors)
+        assert hash(b) == hash(LatticeBasis(b.vectors))
 
 
 ENTRIES = st.sampled_from([F(0), F(1), F(-1), F(2), F(-3), F(1, 2),
