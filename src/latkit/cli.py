@@ -400,7 +400,9 @@ def bench_row(seed: int, d: int, m: int, entry_range: int,
     finally:
         if gc_enabled:
             gc.enable()
-    assert lattice_equal(basis, batch_basis)
+    if not lattice_equal(basis, batch_basis):
+        raise UsageError("batch MLLL gives another lattice", EXIT_VERIFY,
+                         "verification failed")
     lam1 = first_minimum_sq(basis)
     bsq = max(norm_sq(v) for v in gens)
     return {

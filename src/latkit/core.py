@@ -171,6 +171,15 @@ class GeneratingSet:
     vectors = LatticeBasis.vectors      # rows / scale, on each access
 
 
+def _complete_rows(s: GeneratingSet, requires: str) -> tuple:
+    """``s.rows``, refused when empty or when ``s`` is not complete."""
+    if not s.rows:
+        raise ValueError("generating set is empty")
+    if not s.complete:
+        raise ValueError(f"{requires} a complete set")
+    return s.rows
+
+
 def integerize(vectors: Iterable) -> tuple[list[list[int]], int]:
     """Rescale rational vectors by the lcm of all denominators: integer rows
     and that common denominator.  All-``int`` rows come back as they are;

@@ -3,12 +3,11 @@
 Two routes to the same (Eichler-unique) answer: an incremental merge scan
 over a complete generating set, and a graph oracle that takes connected
 components of the non-orthogonality graph on length-indecomposable vectors.
-The scan runs on the set's integer rows: it tests each row below zero (first
-nonzero entry negative) for membership in the running sum with the integral
-MLLL engine of ``latkit.reduction``; its negation, which follows it in a
-complete set, is then a member.  Each component is such an engine, rebuilt
-from its rows at a merge.  The oracle never uses it: it reads the same rows,
-sorts them by norm itself, and takes each component's basis from the Hermite
+The scan is the minima's (``latkit.reduction``): it tests the set's integer
+rows for membership in the running sum with the integral MLLL engine and
+merges at each update; each component is such an engine, rebuilt from its
+rows at a merge.  The oracle never uses it: it reads the same rows, sorts
+them by norm itself, and takes each component's basis from the Hermite
 normal form of its vertices' rows over the set's scale (``_hnf_basis``).
 
 Both list the components in increasing (squared norm, lexicographic) order
@@ -22,8 +21,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .core import GeneratingSet, LatticeBasis, Vector, _hnf_basis, _idot
-from .reduction import DEFAULT_PARAMS, IncrementalLattice, ReductionParams
+from .core import (GeneratingSet, LatticeBasis, Vector, _complete_rows,
+                   _hnf_basis, _idot)
+from .reduction import (DEFAULT_PARAMS, IncrementalLattice, ReductionParams,
+                        _scan)
 
 
 @dataclass(frozen=True)
@@ -49,30 +50,18 @@ def orthogonal_decomposition(s: GeneratingSet,
     """Decompose the lattice generated by the complete set ``s`` into
     indecomposable pairwise-orthogonal sublattices.
 
-    Vectors are scanned in the nondecreasing norm order of ``s``, as the
-    integer rows ``s.rows`` over ``s.scale``; each component is an engine
-    over that scale.  A row above zero is passed over, as its negation came
-    first.  A row outside the current sum joins every component holding a
-    row it is not orthogonal to (its projection onto their span is nonzero)
-    into one new engine, fed the row and then the rows of the joined
-    components in list order, in the place of the first of them (at the end
-    if none), so the list stays in canonical order.
+    At each update of the scan the row joins every component (an engine
+    over ``s.scale``) holding a row it is not orthogonal to, its projection
+    onto their span being nonzero, into one new engine, fed the row and
+    then the joined components' rows in list order, in the place of the
+    first of them (at the end if none): the list stays in canonical order.
     ``check_invariants`` asserts pairwise orthogonality after every merge.
     """
-    if not s.rows:
-        raise ValueError("generating set is empty")
-    if not s.complete:
-        raise ValueError("orthogonal decomposition requires a complete set")
-    dim = len(s.rows[0])
-    zero = (0,) * dim
     components: list[IncrementalLattice] = []
-    total = IncrementalLattice(dim, params, s.scale)
-    for row in s.rows:
-        if row > zero or not total.insert(row):
-            continue
+    for row, total in _scan(s, "orthogonal decomposition requires", params):
         joined = [c for c in components
                   if any(_idot(row, b) for b in c.rows)]
-        merged = IncrementalLattice(dim, params, s.scale)
+        merged = IncrementalLattice(total.dim, params, s.scale)
         merged.extend([row, *(b for c in joined for b in c.rows)])
         # The list stays ordered by each component's first row of s: a
         # merge keeps the place of the earliest component it joins.
@@ -94,11 +83,8 @@ def graph_decomposition_oracle(s: GeneratingSet) -> Decomposition:
     basis is the Hermite normal form of the class.  It sorts the integer
     rows of ``s`` by norm itself and starts each class at its least
     unvisited vertex, so the classes come in canonical order."""
-    if not s.rows:
-        raise ValueError("generating set is empty")
-    if not s.complete:
-        raise ValueError("orthogonal decomposition requires a complete set")
-    keyed = sorted((_idot(r, r), r) for r in s.rows)
+    rows = _complete_rows(s, "orthogonal decomposition requires")
+    keyed = sorted((_idot(r, r), r) for r in rows)
     # v is length-decomposable iff v = x + (v - x) with x in S and both
     # parts strictly shorter than v: |x|^2 < |v|^2 (x is in the prefix of
     # keyed before (|v|^2,)) and, as |v - x|^2 = |v|^2 - 2<v,x> + |x|^2,

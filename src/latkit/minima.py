@@ -1,15 +1,12 @@
 """Successive minima from a complete generating system.
 
-Vectors are scanned in nondecreasing norm, the order a ``GeneratingSet``
-keeps them in, and inserted one by one into the integral MLLL engine of
+Vectors are inserted in nondecreasing norm, the order a ``GeneratingSet``
+keeps them in, into the integral MLLL engine by the scan of
 ``latkit.reduction``; each one that raises the rank of the running lattice
-extends its span and contributes the next minimum.  A complete input set
-guarantees the scan meets a witness of every minimum in order; it holds
-``-v`` with every ``v``, the row below zero (first nonzero entry negative)
-first, so the scan inserts only rows below zero.  The greedy oracle
-recomputes ranks from the Hermite normal form instead, on every row.  Both
-keep their witnesses as the set's integer rows, over its scale, up to the
-result.
+contributes the next minimum, and a complete set guarantees the scan meets
+a witness of every minimum in order.  The greedy oracle recomputes ranks
+from the Hermite normal form instead, on every row.  Both keep their
+witnesses as the set's integer rows, over its scale, up to the result.
 """
 
 from __future__ import annotations
@@ -23,11 +20,12 @@ from .core import (
     GeneratingSet,
     LatticeBasis,
     _column_hnf,
+    _complete_rows,
     _idot,
     _set_rows,
     integerize,
 )
-from .reduction import IncrementalLattice
+from .reduction import _scan
 
 
 @dataclass(frozen=True)
@@ -73,23 +71,16 @@ def successive_minima(s: GeneratingSet,
     stops, at that many minima (the dimension when not given), and flags
     results as partial if the bound was too small to reach every minimum.
     """
-    if not s.rows:
-        raise ValueError("generating set is empty")
-    if not s.complete:
-        raise ValueError("successive minima require a complete set")
-    lattice = IncrementalLattice(len(s.rows[0]), scale=s.scale)
-    zero = (0,) * lattice.dim
-    minima: list[Fraction] = []
     witnesses: list[tuple[int, ...]] = []
-    for row in s.rows:
-        if row < zero and lattice.insert(row) and lattice.rank > len(minima):
+    for row, lattice in _scan(s, "successive minima require"):
+        if lattice.rank > len(witnesses):
             witnesses.append(row)
-            minima.append(Fraction(_idot(row, row), s.scale ** 2))
             if lattice.rank == (expected_rank or lattice.dim):
                 break
-    partial = expected_rank is not None and len(minima) < expected_rank
-    return MinimaResult.from_rows(minima, witnesses, s.scale, len(minima),
-                                  partial)
+    n = len(witnesses)
+    minima = [Fraction(_idot(r, r), s.scale ** 2) for r in witnesses]
+    partial = expected_rank is not None and n < expected_rank
+    return MinimaResult.from_rows(minima, witnesses, s.scale, n, partial)
 
 
 def greedy_minima_oracle(s: GeneratingSet) -> MinimaResult:
@@ -101,13 +92,10 @@ def greedy_minima_oracle(s: GeneratingSet) -> MinimaResult:
     rows over ``s.scale > 0``, so ``(norm, row)`` orders as
     ``(norm_sq(v), v)``.  It sorts by norm itself rather than trust the
     order of ``s``, since that order is part of what it checks."""
-    if not s.rows:
-        raise ValueError("generating set is empty")
-    if not s.complete:
-        raise ValueError("successive minima require a complete set")
+    rows = _complete_rows(s, "successive minima require")
     kept: list[tuple[int, ...]] = []
     minima: list[Fraction] = []
-    for n, row in sorted((_idot(r, r), r) for r in s.rows):
+    for n, row in sorted((_idot(r, r), r) for r in rows):
         if len(_column_hnf(kept + [row])) > len(kept):
             kept.append(row)
             minima.append(Fraction(n, s.scale ** 2))

@@ -9,9 +9,9 @@ d_{j+1} mu_ij`` (de Weger 1987; Cohen, Alg. 2.6.7).  An independent vector
 enters the integral LLL swap loop; a vector in the span rebuilds the engine
 from the Hermite normal form of its rows and that vector.  All three
 algorithms run on it: batch reduction (``mlll``) and the incremental basis
-construction, the successive-minima scan and the short-vector enumerator
-(which reads the reduced basis's Gram-Schmidt form from ``d`` and
-``lambda``), and the decomposition's membership scan and merge.
+construction, the short-vector enumerator (which reads the reduced basis's
+Gram-Schmidt form from ``d`` and ``lambda``), the scan of the minima and
+the decomposition (``_scan``) and the decomposition's merge.
 
 Once the engine holds ``dim`` rows with ``d_dim = 1``, localization takes no
 arithmetic: ``d_dim`` is the squared determinant of the integer rows, so
@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .core import LatticeBasis, _column_hnf, _idot, integerize
+from .core import LatticeBasis, _column_hnf, _complete_rows, _idot, integerize
 
 
 @dataclass(frozen=True)
@@ -238,6 +238,21 @@ class IncrementalLattice:
             d[k] = b
             k = k1 or 1
         self.swaps += swaps
+
+
+def _scan(s, requires: str, params=DEFAULT_PARAMS) -> Iterator[tuple]:
+    """The norm-ordered scan of the minima and the decomposition: the rows
+    of the complete set ``s`` go in its order into one engine over
+    ``s.scale``, and each update yields the row and the engine.  Of ``v``
+    and ``-v``, both in a complete set, the row below zero (first nonzero
+    entry negative) comes first, and only it is inserted: the other is then
+    a member.  ``requires`` names the caller in the incomplete-set error."""
+    rows = _complete_rows(s, requires)
+    engine = IncrementalLattice(len(rows[0]), params, s.scale)
+    zero = (0,) * engine.dim
+    for row in rows:
+        if row < zero and engine.insert(row):
+            yield row, engine
 
 
 def mlll(generators: Sequence, params: ReductionParams = DEFAULT_PARAMS

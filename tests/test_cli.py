@@ -895,6 +895,27 @@ class TestBenchCommand:
                             "t_incremental,t_batch_mlll")
         assert len(lines) == 1 + 2 * 3
 
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+    def test_batch_basis_mismatch_exits_3(self, flags):
+        """A batch basis that spans another lattice than the incremental
+        one ends ``bench`` in exit 3 and one error line, also under ``-O``,
+        which strips ``assert`` statements.  Run in a fresh interpreter, so
+        that the flag applies to latkit's own modules."""
+        code = ("import sys; from latkit import cli; "
+                "cli.lattice_equal = lambda a, b: False; "
+                "sys.exit(cli.main(['bench', '--dims', '2', "
+                "'--gen-counts', '4', '--reps', '1']))")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", code], capture_output=True,
+            text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.returncode == EXIT_VERIFY
+        assert proc.stdout == ("seed,d,m,update_count,theorem_bound,"
+                               "t_incremental,t_batch_mlll\n")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("verification failed: ")
+
 
 # Run in a fresh interpreter: the modules that importing latkit.cli and one
 # verified decompose call load, by file origin, as the last line of stdout.

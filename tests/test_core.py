@@ -536,11 +536,20 @@ class TestMixedDimensions:
      "generating set is empty"),
     (lambda: greedy_minima_oracle(GeneratingSet([(1, 0)], 1)),
      "successive minima require a complete set"),
+    (lambda: successive_minima(GeneratingSet([], 1, complete=True)),
+     "generating set is empty"),
+    (lambda: successive_minima(GeneratingSet([(1, 0)], 1)),
+     "successive minima require a complete set"),
+    (lambda: orthogonal_decomposition(GeneratingSet([], 1, complete=True)),
+     "generating set is empty"),
+    (lambda: orthogonal_decomposition(GeneratingSet([(1, 0)], 1)),
+     "orthogonal decomposition requires a complete set"),
     (lambda: first_minimum_sq(LatticeBasis((), dim=2)),
      "lattice of rank zero has no first minimum"),
 ], ids=["LatticeBasis-dim", "lattice_equal-dims", "graph-oracle-empty",
         "graph-oracle-incomplete", "greedy-oracle-empty",
-        "greedy-oracle-incomplete", "first_minimum_sq-rank-0"])
+        "greedy-oracle-incomplete", "minima-empty", "minima-incomplete",
+        "decompose-empty", "decompose-incomplete", "first_minimum_sq-rank-0"])
 def test_input_guards(build, message):
     with pytest.raises(ValueError, match=f"^{message}$") as err:
         build()
