@@ -15,6 +15,7 @@ unreadable input or unwritable standard output, 3 verification mismatch,
 from __future__ import annotations
 
 import argparse
+import decimal
 import errno
 import functools
 import gc
@@ -93,14 +94,10 @@ def format_scalar(x) -> str:
         return str(x)
     except ValueError:
         # An integer past the interpreter's int-to-str digit limit (4300
-        # digits by default): print it in full, with the limit lifted for
-        # this one conversion.
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return str(x)
-        finally:
-            sys.set_int_max_str_digits(limit)
+        # digits by default): Decimal's str has no such limit, and the
+        # limit, a process-wide setting, is left as it is.
+        n, q = map(str, map(decimal.Decimal, x.as_integer_ratio()))
+        return n if q == "1" else f"{n}/{q}"
 
 
 def format_vector(v: Sequence, scale: int = 1) -> str:

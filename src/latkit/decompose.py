@@ -55,13 +55,15 @@ def orthogonal_decomposition(s: GeneratingSet,
     onto their span being nonzero, into one new engine, fed the row and
     then the joined components' rows in list order, in the place of the
     first of them (at the end if none): the list stays in canonical order.
+    ``params`` sets the Lovász parameter of those engines, and so of the
+    bases returned; the scan's membership test does not depend on it.
     ``check_invariants`` asserts pairwise orthogonality after every merge.
     """
     components: list[IncrementalLattice] = []
-    for row, total in _scan(s, "orthogonal decomposition requires", params):
+    for row, _ in _scan(s, "orthogonal decomposition requires"):
         joined = [c for c in components
                   if any(_idot(row, b) for b in c.rows)]
-        merged = IncrementalLattice(total.dim, params, s.scale)
+        merged = IncrementalLattice(len(row), params, s.scale)
         merged.extend([row, *(b for c in joined for b in c.rows)])
         # The list stays ordered by each component's first row of s: a
         # merge keeps the place of the earliest component it joins.
@@ -98,18 +100,13 @@ def graph_decomposition_oracle(s: GeneratingSet) -> Decomposition:
     unvisited = set(range(len(vertices)))
     components: list[LatticeBasis] = []
     while unvisited:
-        start = min(unvisited)
-        stack = [start]
-        unvisited.discard(start)
-        comp = [start]
-        while stack:
-            i = stack.pop()
+        comp = [min(unvisited)]
+        unvisited.discard(comp[0])
+        for i in comp:      # comp grows as the loop runs: breadth first
             adjacent = [j for j in unvisited
                         if _idot(vertices[i], vertices[j])]
-            for j in adjacent:
-                unvisited.discard(j)
-                stack.append(j)
-            comp.extend(adjacent)
+            unvisited.difference_update(adjacent)
+            comp += adjacent
         components.append(LatticeBasis(
             _hnf_basis([vertices[i] for i in comp], s.scale)))
     return Decomposition(tuple(components))

@@ -115,7 +115,6 @@ def enumerate_up_to(req: EnumerationRequest) -> GeneratingSet:
                 out.append(v)
                 out.append(tuple(map(neg, v)))
             v = tuple(map(add, v, b))
-        coeffs[i] = 0
 
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + n)    # the search goes n levels deep

@@ -5,7 +5,7 @@ keeps them in, into the integral MLLL engine by the scan of
 ``latkit.reduction``; each one that raises the rank of the running lattice
 contributes the next minimum, and a complete set guarantees the scan meets
 a witness of every minimum in order.  The greedy oracle recomputes ranks
-from the Hermite normal form instead, on every row.  Both keep their
+from a running Hermite normal form instead, on every row.  Both keep their
 witnesses as the set's integer rows, over its scale, up to the result.
 """
 
@@ -72,10 +72,10 @@ def successive_minima(s: GeneratingSet,
     results as partial if the bound was too small to reach every minimum.
     """
     witnesses: list[tuple[int, ...]] = []
-    for row, lattice in _scan(s, "successive minima require"):
-        if lattice.rank > len(witnesses):
+    for row, rank in _scan(s, "successive minima require"):
+        if rank > len(witnesses):
             witnesses.append(row)
-            if lattice.rank == (expected_rank or lattice.dim):
+            if rank == (expected_rank or len(row)):
                 break
     n = len(witnesses)
     minima = [Fraction(_idot(r, r), s.scale ** 2) for r in witnesses]
@@ -86,17 +86,20 @@ def successive_minima(s: GeneratingSet,
 def greedy_minima_oracle(s: GeneratingSet) -> MinimaResult:
     """Brute-force reference: scan every vector by norm and keep each one
     that is linearly independent of those kept so far, that is, each one
-    that adds a row to the Hermite normal form of the kept rows (rank
-    recomputation, no subspace shortcut, no early exit).  It reads
-    ``s.rows``, which loses no independence: ``s.vectors`` is only those
-    rows over ``s.scale > 0``, so ``(norm, row)`` orders as
+    that adds a row to the running Hermite normal form ``h`` of the kept
+    rows (rank recomputation, no subspace shortcut, no early exit).  It
+    reads ``s.rows``, which loses no independence: ``s.vectors`` is only
+    those rows over ``s.scale > 0``, so ``(norm, row)`` orders as
     ``(norm_sq(v), v)``.  It sorts by norm itself rather than trust the
     order of ``s``, since that order is part of what it checks."""
     rows = _complete_rows(s, "successive minima require")
+    h: tuple[tuple[int, ...], ...] = ()
     kept: list[tuple[int, ...]] = []
     minima: list[Fraction] = []
     for n, row in sorted((_idot(r, r), r) for r in rows):
-        if len(_column_hnf(kept + [row])) > len(kept):
+        g = _column_hnf([*h, row])
+        if len(g) > len(h):
+            h = g
             kept.append(row)
             minima.append(Fraction(n, s.scale ** 2))
     return MinimaResult.from_rows(minima, kept, s.scale, len(kept))

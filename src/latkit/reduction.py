@@ -240,19 +240,21 @@ class IncrementalLattice:
         self.swaps += swaps
 
 
-def _scan(s, requires: str, params=DEFAULT_PARAMS) -> Iterator[tuple]:
+def _scan(s, requires: str) -> Iterator[tuple[tuple[int, ...], int]]:
     """The norm-ordered scan of the minima and the decomposition: the rows
     of the complete set ``s`` go in its order into one engine over
-    ``s.scale``, and each update yields the row and the engine.  Of ``v``
-    and ``-v``, both in a complete set, the row below zero (first nonzero
-    entry negative) comes first, and only it is inserted: the other is then
-    a member.  ``requires`` names the caller in the incomplete-set error."""
+    ``s.scale``, and each update yields the row and the rank reached.  The
+    engine is the scan's own, at the default delta: membership depends on
+    the lattice alone.  Of ``v`` and ``-v``, both in a complete set, the row
+    below zero (first nonzero entry negative) comes first, and only it is
+    inserted: the other is then a member.  ``requires`` names the caller in
+    the incomplete-set error."""
     rows = _complete_rows(s, requires)
-    engine = IncrementalLattice(len(rows[0]), params, s.scale)
+    engine = IncrementalLattice(len(rows[0]), scale=s.scale)
     zero = (0,) * engine.dim
     for row in rows:
         if row < zero and engine.insert(row):
-            yield row, engine
+            yield row, engine.rank
 
 
 def mlll(generators: Sequence, params: ReductionParams = DEFAULT_PARAMS

@@ -315,6 +315,25 @@ class TestBasisCommand:
         assert run_cli(["basis", "FILE"], tmp_path,
                        f"1 1\n{'9' * 5000}\n") == EXIT_PARSE
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-to-str digit limit")
+    def test_printer_leaves_the_digit_limit_alone(self, monkeypatch):
+        # Past the limit the printer gives what str() gives with the limit
+        # lifted, without writing the process-wide limit.
+        values = [10**5000 + 7, -(10**5000 + 7), F(10**5000 + 1, 3)]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = [str(x) for x in values]
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+        def refuse(limit):
+            raise AssertionError("the printer set the digit limit")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+        assert [format_scalar(x) for x in values] == want
+
     def test_output_is_reparseable(self, tmp_path, capsys):
         run_cli(["basis", "FILE"], tmp_path, Z2_REDUNDANT)
         out = capsys.readouterr().out
@@ -716,6 +735,14 @@ class TestDecomposeCommand:
         code = run_cli(["decompose", "FILE", "--bound-sq", "1"],
                        tmp_path, DIAG)
         assert code == EXIT_BOUND
+
+    def test_verify_at_delta_one_half(self, tmp_path, capsys):
+        # (1, 1, 2) joins the two orthogonal shortest vectors at any delta.
+        code = run_cli(["decompose", "FILE", "--bound-sq", "6", "--delta",
+                        "1/2", "--verify"], tmp_path,
+                       "3 3\n2 0 0\n0 2 0\n1 1 2\n")
+        assert code == EXIT_OK
+        assert "# r: 1" in capsys.readouterr().out
 
     @pytest.mark.parametrize("content, bound_sq", [
         (GLUE5, "4"),                   # full rank, index 2

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from latkit import (
     GeneratingSet,
     LatticeBasis,
+    ReductionParams,
     canonical_component_forms,
     enumerate_up_to,
     graph_decomposition_oracle,
@@ -210,6 +211,20 @@ def test_decomposition_matches_graph_oracle(case):
     s = complete_set(basis, bound)
     assert canonical_component_forms(orthogonal_decomposition(s)) == \
         canonical_component_forms(graph_decomposition_oracle(s))
+
+
+@settings(max_examples=50, deadline=None)
+@given(scrambled_block_lattices())
+def test_decomposition_does_not_depend_on_delta(case):
+    # The scan's membership test reads the lattice alone; delta reduces the
+    # component bases, whose canonical forms are the oracle's at every delta.
+    basis, bound = case
+    s = complete_set(basis, bound)
+    want = canonical_component_forms(graph_decomposition_oracle(s))
+    for delta in (F("0.26"), F(1, 2), F(3, 4), F(1)):
+        d = orthogonal_decomposition(s, ReductionParams(delta),
+                                     check_invariants=True)
+        assert canonical_component_forms(d) == want
 
 
 @settings(max_examples=100, deadline=None)
