@@ -160,8 +160,8 @@ def parse_lattice_file(text: str) -> tuple[int, int, list[tuple]]:
             except ValueError:
                 raise LatticeFileError(
                     line_no, "header must be two integers 'd m'")
-            if d < 1 or m < 1:
-                raise LatticeFileError(line_no, "header requires d>=1, m>=1")
+            if d < 1 or m < 0:      # m = 0: the zero lattice, no rows
+                raise LatticeFileError(line_no, "header requires d>=1, m>=0")
             header, header_line = (d, m), line_no
             continue
         d, m = header
@@ -278,8 +278,10 @@ def cmd_basis(args) -> None:
     print("\n".join(lines))
     if args.verify:
         subset = generating_subset(rows, trace)
-        # By transitivity, with one HNF of the m generators.
-        if not (lattice_equal(subset, basis) and lattice_equal(basis, rows)):
+        # By transitivity, with one HNF of the distinct generators, which
+        # generate the same lattice as all m.
+        if not (lattice_equal(subset, basis)
+                and lattice_equal(basis, dict.fromkeys(rows))):
             raise UsageError("basis does not match the HNF oracle",
                              EXIT_VERIFY, "verification failed")
 
@@ -289,9 +291,11 @@ def _input_lattice(args) -> tuple[str, int, list[tuple], IncrementalLattice,
     """The input of ``minima`` and ``decompose``: the file's text,
     dimension and rows, the engine holding their reduced basis, and the
     complete set enumerated on it up to the bound.  The rows must be a
-    basis: at most ``d`` of them (checked first), of full rank."""
+    basis: one to ``d`` of them (checked first), of full rank."""
     text = _read_input(args.file)
     d, m, rows = parse_lattice_file(text)
+    if m == 0:
+        raise UsageError("no basis vectors")
     if m > d:
         raise UsageError("more basis vectors than the dimension")
     lat = IncrementalLattice.from_generators(rows)

@@ -6,8 +6,8 @@ Run from the repository root, on the commit whose output is to be pinned:
 
 The inputs are the first five ``basis-update`` and ``basis-member``
 instances and the first ten ``minima-blocks`` and ``decompose-blocks``
-instances of ``perfbench/corpus.py`` at seed 1, plus the small files of the
-CI job whose output it checks.  Each pin is the exit code, stdout without
+instances of ``perfbench/corpus.py`` at seed 1, plus the small hand-written
+files of ``CI_INPUTS``.  Each pin is the exit code, stdout without
 its ``# time_compute:`` line, and stderr of one ``latkit.cli.main`` call.
 Re-pin only for a deliberate output change, and say so where the change is
 described.
@@ -26,26 +26,57 @@ from latkit import cli
 
 HERE = Path(__file__).resolve().parent
 
-# CI inputs and the squared norm bound CI runs minima/decompose at; a
-# generating set with more rows than its dimension (no bound) runs under
-# basis only.
+# Small inputs written by hand, each for one path through the program, and
+# the squared norm bound minima/decompose run at; a generating set with more
+# rows than its dimension (no bound) runs under basis only.  The pins are
+# the one statement of what latkit prints for them: a deliberate output
+# change is re-pinned here and nowhere else.
 CI_INPUTS = {
+    # Rational entries put the rows over scale 2; (1/2, 1/2, 1) joins the
+    # two unit components.
     "half.lat": ("3 3\n1 0 0\n0 1 0\n1/2 1/2 1\n", "3/2"),
+    # The engine runs coarse.lat at scale 2; the set enumerated on it up to
+    # squared norm 1 is {(1, 0), (-1, 0)}, at scale 1.
     "coarse.lat": ("2 2\n1 0\n1/2 9\n", "1"),
+    # Indecomposable rank-3 block whose two shortest vectors are
+    # orthogonal: (1, 1, 2) joins both.
     "joined.lat": ("3 3\n2 0 0\n0 2 0\n1 1 2\n", "6"),
+    # Rank 2 in dimension 3 over scale 2: the minima scan stops at the
+    # second minimum, the rank of the input.
     "rank2_half.lat": ("3 2\n1/2 1/2 0\n0 0 1\n", "4"),
+    # Two rank-1 components at two scales: the merge's both sit at scale 2,
+    # the oracle's at 2 and 1.  The order does not read the scales:
+    # (-1/2, 0), the shorter least vector, comes first.  The minima
+    # witnesses print over the set's scale 2; (0, -1) is integral there.
     "cross.lat": ("2 2\n1/2 0\n0 1\n", "1"),
+    # Integer and rational literals mixed, with signs, leading zeros and
+    # Arabic-Indic digits; the printed digits at scale above 1, which
+    # --verify does not check.
     "mixed.lat": ("3 3\n1/2 -3 +5\n\u0663/\u0664 007 -0\n-0 +5 1/2\n", "50"),
+    # Rows repeated and negated; basis records a repeat as a member without
+    # running the membership test.
     "pool.lat": ("3 8\n1 2 3\n-1 -2 -3\n0 1 1\n1 2 3\n0 -1 -1\n2 4 6\n"
                  "1 3 4\n-1 -2 -3\n", None),
+    # Lines of ASCII integers (signs, leading zeros, -0) take one int pass;
+    # the Arabic-Indic line goes through each token's literal.
     "intlines.lat": ("3 4\n-0 014 +10\n4 -6 02\n\u0663 9 -12\n-8 +0 -16\n",
                      None),
+    # Every row is an update: (1, 1, 0) and (1, 0, 0) rebuild at rank 2,
+    # (0, 0, 3) raises the rank and (0, 1, 1) rebuilds at rank 3.
     "rebuilds.lat": ("3 6\n2 0 0\n0 2 0\n1 1 0\n1 0 0\n0 0 3\n0 1 1\n",
                      None),
+    # Once the rows span Z^3 (at i=3), or Z^2 over scale 2 (half_z2.lat, at
+    # i=1), every later row is a member with no localization arithmetic;
+    # the trace reads as it did when each was localized.
     "z3.lat": ("3 7\n2 1 1\n1 1 0\n0 1 1\n5 7 9\n-5 -7 -9\n2 1 1\n"
                "3 -4 8\n", None),
     "half_z2.lat": ("2 4\n1/2 0\n1/2 1/2\n3/2 -1/2\n1 1\n", None),
+    # Components come in the order of their least vectors: at equal norm 9,
+    # (-3, 0) precedes (0, -3) lexicographically, where their Hermite
+    # normal forms, (3, 0) and (0, 3), order the other way.
     "axes.lat": ("2 2\n0 3\n3 0\n", "9"),
+    # rank2_half.lat at scale 1.
+    "rank2.lat": ("3 2\n1 1 0\n0 0 2\n", "4"),
 }
 
 

@@ -1,6 +1,7 @@
 import codecs
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import locale
@@ -265,6 +266,28 @@ class TestBasisCommand:
         assert "# update_count: 2" in out
         assert "# bound_holds: true" in out
 
+    @pytest.mark.parametrize("options", [[], ["--trace"], ["--verify"]])
+    def test_zero_lattice_round_trips(self, options, tmp_path, capsys):
+        """All-zero generators give the zero lattice: a header 'd 0' and no
+        rows.  That output is a lattice file, and basis reads it back to
+        the same lattice, with the same lines but for the input digest and
+        the timing line."""
+        code = run_cli(["basis", "FILE", *options], tmp_path,
+                       "2 3\n0 0\n0 0\n-0 0/5\n")
+        first = capsys.readouterr()
+        assert code == EXIT_OK and first.err == ""
+        assert parse_lattice_file(first.out) == (2, 0, [])
+        code = run_cli(["basis", "FILE", *options], tmp_path, first.out)
+        again = capsys.readouterr()
+        assert code == EXIT_OK and again.err == ""
+
+        def lines(out):
+            return [line for line in out.splitlines() if not
+                    line.startswith(("# input:", "# time_compute:"))]
+
+        assert lines(again.out) == lines(first.out)
+        assert "# rank: 0" in lines(first.out)
+
     def test_gcd_instance(self, tmp_path, capsys):
         code = run_cli(["basis", "FILE", "--trace"], tmp_path, GCD)
         out = capsys.readouterr().out
@@ -507,6 +530,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command", ["minima", "decompose"])
+    def test_no_rows_is_not_a_basis(self, command, tmp_path, capsys):
+        """A file with no rows is the zero lattice: it has no minima and no
+        summands, so minima and decompose refuse it as they refuse any
+        input that is not a basis, before an enumeration is set up."""
+        code = run_cli([command, "FILE", "--bound-sq", "4", "--verify"],
+                       tmp_path, "2 0\n")
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err == "error: no basis vectors\n"
+
     def test_trace_cap_exceeded(self, tmp_path, capsys):
         code = run_cli(["basis", "FILE", "--trace", "--cap", "1"],
                        tmp_path, Z2_REDUNDANT)
@@ -555,9 +590,9 @@ class TestExitCodes:
          "line 2: header must be two integers 'd m'"),
         ("2\n1 0\n", "line 1: header must be two integers 'd m'"),
         ("2 1 1\n1 0\n", "line 1: header must be two integers 'd m'"),
-        ("0 1\n\n", "line 1: header requires d>=1, m>=1"),
-        ("\n2 0\n", "line 2: header requires d>=1, m>=1"),
-        ("2 -1\n1 0\n", "line 1: header requires d>=1, m>=1"),
+        ("0 1\n\n", "line 1: header requires d>=1, m>=0"),
+        ("\n2 0\n1 0\n", "line 3: more than 0 data rows"),
+        ("2 -1\n1 0\n", "line 1: header requires d>=1, m>=0"),
         ("2 1\n1 0\n# one too many\n0 1\n", "line 4: more than 1 data rows"),
     ], ids=["header-token", "header-short", "header-long", "d-zero",
             "m-zero", "m-negative", "extra-row"])
@@ -1086,7 +1121,7 @@ class TestEntryPoint:
                 f"error: cannot read {name}: 'utf-8' codec can't decode "
                 f"byte 0xff in position 6: invalid start byte\n").encode()
 
-    def test_console_script_installed(self, tmp_path):
+    def test_module_entry_point(self, tmp_path):
         path = tmp_path / "z2.lat"
         path.write_text(Z2_REDUNDANT)
         proc = subprocess.run(
@@ -1094,3 +1129,14 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "# rank: 2" in proc.stdout
+
+    def test_script_declaration_names_main(self):
+        """``pyproject.toml`` declares the ``latkit`` executable as
+        ``latkit.cli:main``, which imports to the ``main`` the tests call.
+        The line is read with a regex: Python 3.10 has no ``tomllib``."""
+        text = (Path(__file__).resolve().parent.parent
+                / "pyproject.toml").read_text()
+        scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        m = re.fullmatch(r'latkit = "([\w.]+):(\w+)"', scripts.strip())
+        assert m, scripts
+        assert getattr(importlib.import_module(m[1]), m[2]) is main

@@ -501,6 +501,36 @@ def test_lattice_equal_matches_frozen_reference(pairs):
     assert lattice_equal(a, b) == lattice_equal(b, a) == want
 
 
+@st.composite
+def generators_with_repeats(draw):
+    """Generator rows as ``parse_lattice_file`` reads them, ``int`` entries
+    for integers and ``Fraction`` ones otherwise, with at least one row
+    repeated, a repeat perhaps with ``Fraction`` entries throughout; and
+    one of the distinct rows."""
+    d = draw(st.integers(1, 3))
+    rows = [tuple(int(c) if c.denominator == 1 else c for c in r)
+            for r in draw(st.lists(st.tuples(*[RATIONAL_ENTRIES] * d),
+                                   min_size=1, max_size=5))]
+    for r in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=5)):
+        rows.append(tuple(map(F, r)) if draw(st.booleans()) else r)
+    rows = draw(st.permutations(rows))
+    return rows, draw(st.sampled_from(list(dict.fromkeys(rows))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(generators_with_repeats())
+def test_distinct_generators_decide_lattice_equal_alike(case):
+    """``basis --verify`` compares the basis with the distinct generators,
+    which generate the lattice of all of them: ``lattice_equal`` decides
+    alike for the basis of the rows and for the basis of the rows without
+    one distinct generator."""
+    rows, dropped = case
+    distinct = list(dict.fromkeys(rows))
+    for b in (incremental_basis(rows)[0],
+              incremental_basis([r for r in rows if r != dropped])[0]):
+        assert lattice_equal(b, distinct) == lattice_equal(b, rows)
+
+
 class TestMixedDimensions:
     """Vectors of different lengths raise one ``ValueError``, from
     ``integerize``, wherever vectors are taken; none is dropped silently."""

@@ -3,11 +3,13 @@ pinned exit code, stdout (without its ``# time_compute:`` line) and stderr,
 byte for byte.
 
 The inputs under ``tests/golden/inputs`` are instances of the benchmark
-corpus at seed 1 and small files of the CI job; ``tests/golden/pin.py``
-wrote them and ``pins.json``.  The calls are ``basis`` plain, with
+corpus at seed 1 and small hand-written files, ``CI_INPUTS`` of
+``tests/golden/pin.py``, which wrote them and ``pins.json``.  These pins are
+the one statement of what ``latkit`` prints: a deliberate output change is
+re-pinned there and nowhere else.  The calls are ``basis`` plain, with
 ``--trace`` and with ``--verify``, and ``minima`` and ``decompose`` at the
-corpus bound, with ``--verify``, and at half that bound.  The CI files with
-more rows than their dimension run under ``basis`` only.
+corpus bound, with ``--verify``, and at half that bound.  The hand-written
+files with more rows than their dimension run under ``basis`` only.
 """
 
 import json
