@@ -3,9 +3,13 @@
 On a duplicates-heavy generator family the number of update steps stays
 bounded (independently of m) while batch reduction has to chew through all
 m vectors: each one in the span of the rows before it rebuilds the batch
-engine from a Hermite normal form.  The gap shows in time and grows with m.
-MLLL swaps (a count that does not depend on the machine) stay few on both
-sides, since a rebuild starts from the HNF's independent rows.
+engine, from a Hermite normal form, or, once the rows have full rank and
+the new determinant comes out 1, by taking the state of Z^dim directly
+after the row's Gram-Schmidt row.  Incremental localization answers a row
+of Z^dim with no arithmetic at all, so the gap shows in time and grows with
+m.  MLLL swaps (a count that does not depend on the machine) stay few on
+both sides, since a rebuild starts from the HNF's independent rows or from
+the unit rows.
 """
 
 from latkit.cli import bench_row

@@ -7,7 +7,9 @@ exact integers: the vectors as integer rows over a common denominator fixed
 when the engine is built, the Gram determinants ``d_i`` and ``lambda_ij =
 d_{j+1} mu_ij`` (de Weger 1987; Cohen, Alg. 2.6.7).  An independent vector
 enters the integral LLL swap loop; a vector in the span rebuilds the engine
-from the Hermite normal form of its rows and that vector.  All three
+from the Hermite normal form of its rows and that vector, except where a
+full-rank rebuild's new determinant comes out 1: the engine then takes the
+state of ``Z^dim`` (unit rows, every ``d_i`` 1) directly.  All three
 algorithms run on it: batch reduction (``mlll``) and the incremental basis
 construction, the short-vector enumerator (which reads the reduced basis's
 Gram-Schmidt form from ``d`` and ``lambda``), the scan of the minima and
@@ -21,6 +23,7 @@ member; the lattice only grows, so this stays true.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -58,7 +61,11 @@ class IncrementalLattice:
     An independent vector is appended and the swap loop runs from its slot,
     with the decisions of Pohst's rational MLLL step for step.  A vector in
     the span would leave a zero ``b*``; instead the engine is rebuilt from
-    the HNF of its rows and that vector, so every ``b*`` stays nonzero.
+    the HNF of its rows and that vector, so every ``b*`` stays nonzero.  At
+    rank ``dim`` the rebuild first works out the new determinant from the
+    vector's lambda-row; when it is 1 the new lattice is ``Z^dim``, whose
+    HNF is the identity, and the engine takes the state ``extend`` leaves
+    over it (unit rows, ``d`` all 1, ``lam`` all 0, no swap) directly.
 
     At rank ``dim`` with ``d[dim] == 1`` the rows generate ``Z^dim``
     (``d[dim]`` is the squared determinant of the rows), so ``insert``
@@ -181,14 +188,40 @@ class IncrementalLattice:
         2.6.7).  A row in the span (``dn == 0``) rebuilds the engine instead:
         ``extend`` over the ``_column_hnf`` of its rows and that row, which
         are independent.  That HNF routine is the ``lattice_equal`` oracle's
-        too, so the tests check every rebuild against ``reference_hnf``."""
+        too, so the tests check every rebuild against ``reference_hnf``.
+
+        At rank ``dim``, with ``D = isqrt(d_dim)`` the determinant of the
+        rows, ``t = D x`` for the row's coordinates ``x`` in the rows is an
+        integer vector (Cramer), taken from the top slot down by ``t_l = (D
+        lambda_vl - sum_{i>l} t_i lambda_il) / d_{l+1}``, an exact division.
+        The new lattice has determinant ``gcd(D, t)``; as soon as the running
+        gcd is 1 it is ``Z^dim``, and the engine takes the identity state
+        that ``extend`` of its HNF would leave, with no HNF."""
         rows, d, lam = self.rows, self.d, self.lam
+        n = len(rows)
         if dn == 0:
+            if n == self.dim:
+                # The new determinant gcd(D, t), stopped once it is 1.
+                det = g = math.isqrt(d[n])
+                t = [0] * n
+                for l in range(n - 1, -1, -1):
+                    if g == 1:
+                        break
+                    u = det * lam_row[l]
+                    for i in range(l + 1, n):
+                        u -= t[i] * lam[i][l]
+                    t[l] = u // d[l + 1]
+                    g = math.gcd(g, t[l])
+                if g == 1:
+                    rows[:] = [tuple(int(i == j) for i in range(n))
+                               for j in range(n)]
+                    lam[:] = [[0] * j for j in range(n)]
+                    d[1:] = [1] * n
+                    return
             hnf = _column_hnf([*rows, row])
             del rows[:], lam[:], d[1:]
             self.extend(hnf)
             return
-        n = len(rows)
         rows.append(row)
         lam.append(lam_row)
         d.append(dn)

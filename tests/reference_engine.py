@@ -1,20 +1,23 @@
 """Frozen reference: the MLLL swap loop of ``IncrementalLattice`` as it
 stood before size reduction and the exchange were folded into ``_add``,
-kept verbatim as test code only, for rows outside the span.
+and its rebuild of a row in the span as it stood before a full-rank
+rebuild that yields ``Z^dim`` took the identity state directly, both kept
+verbatim as test code only.
 
 ``ReferenceLattice`` overrides ``_add``, ``_red``, ``_swap_rows`` and
 ``_swap`` with the copies below and inherits everything else (``insert``,
 ``extend``, the Gram-Schmidt row and the membership test).  A row in the
-span goes to the engine's own ``_add``, whose HNF rebuild ``extend``s this
-loop over independent rows, so a differential test can require the
-engine's ``rows``, ``d``, ``lam`` and ``swaps`` to equal these after every
-step.
+span rebuilds this engine from ``_column_hnf`` of its rows and that row at
+every rank, by ``extend`` over the HNF through this loop, so a
+differential test can require the engine's ``rows``, ``d``, ``lam`` and
+``swaps`` to equal these after every step, rebuilds included.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from latkit.core import _column_hnf
 from latkit.reduction import IncrementalLattice
 
 
@@ -24,10 +27,13 @@ class ReferenceLattice(IncrementalLattice):
     # -- the MLLL loop --------------------------------------------------
     def _add(self, row: Sequence[int], lam_row: list[int], dn: int) -> None:
         """Append b_n and run the swap loop from k = n until the basis is
-        reduced again."""
-        if dn == 0:
-            return super()._add(row, lam_row, dn)
+        reduced again; a row in the span rebuilds from the HNF."""
         rows, d, lam = self.rows, self.d, self.lam
+        if dn == 0:
+            hnf = _column_hnf([*rows, row])
+            del rows[:], lam[:], d[1:]
+            self.extend(hnf)
+            return
         n = len(rows)
         rows.append(row)
         lam.append(lam_row)

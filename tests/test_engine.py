@@ -2,27 +2,30 @@
 
 Where no row meets the span of the rows before it, the engine must
 reproduce the rational MLLL it replaced exactly: the same basis vectors in
-the same order.  A row in the span rebuilds the engine from an HNF, where
-the rational MLLL runs Pohst's zero-vector cascade, so there the basis must
-generate the frozen HNF oracle's lattice and be size-reduced and
-Lovász-reduced by the frozen rational Gram-Schmidt.  Trace records and
-membership answers equal the references' always.  ``reference_mlll`` holds
-the frozen rational code, ``reference_engine`` the integral swap loop as it
-was before it became one method, which must leave the same state after
-every step.  ``insert`` answers from the engine's state alone: once the rows
-span ``Z^dim`` it answers every row a member with no arithmetic (families
-with the unit vectors spliced in reach that state part way through), and
-otherwise it runs the nearest-plane test, also on a row it was given
-before; the pool families repeat, negate and double rows.  Its callers
-skip rows they know to be members: ``incremental_basis`` a repeated
-generator, and the minima and decomposition scans each row above zero,
-whose negation came before it in the complete set.
+the same order.  A row in the span rebuilds the engine from an HNF, or at
+full rank, when the new determinant comes out 1, takes the state of
+``Z^dim`` directly; the rational MLLL runs Pohst's zero-vector cascade
+there instead, so there the basis must generate the frozen HNF oracle's
+lattice and be size-reduced and Lovász-reduced by the frozen rational
+Gram-Schmidt.  Trace records and membership answers equal the references'
+always.  ``reference_mlll`` holds the frozen rational code,
+``reference_engine`` the integral swap loop as it was before it became one
+method and every rebuild from the HNF, which must leave the same state
+after every step.  ``insert`` answers from the engine's state alone: once
+the rows span ``Z^dim`` it answers every row a member with no arithmetic
+(families with the unit vectors spliced in reach that state part way
+through), and otherwise it runs the nearest-plane test, also on a row it
+was given before; the pool families repeat, negate and double rows.  Its
+callers skip rows they know to be members: ``incremental_basis`` a
+repeated generator, and the minima and decomposition scans each row above
+zero, whose negation came before it in the complete set.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latkit import (
@@ -41,12 +44,17 @@ from latkit import (
     orthogonal_decomposition,
     successive_minima,
 )
+from latkit import reduction
 from latkit.cli import bench_row
 from latkit.reduction import IncrementalLattice
 
 from reference_engine import ReferenceLattice
 from reference_hnf import reference_canonical_basis, reference_hnf
-from reference_linalg import reference_is_member
+from reference_linalg import (
+    reference_det_bareiss_int,
+    reference_is_member,
+    solve_in_span,
+)
 from reference_mlll import reference_incremental_basis, reference_mlll
 from test_reduction import check_lll_reduced
 
@@ -288,8 +296,9 @@ def test_half_integer_rows_spanning_z2_skip_the_localization(monkeypatch):
 
 def test_full_rank_of_index_two_still_localizes(monkeypatch):
     # (2, 0), (0, 1) has full rank but d[2] = 4: (4, 1) is localized and
-    # is a member, (1, 0) is localized and rebuilds (the rebuild's extend
-    # takes the Gram-Schmidt rows of the HNF); then Z^2 is reached.
+    # is a member, (1, 0) is localized and is an update whose determinant
+    # comes out 1, so the engine takes the state of Z^2 with no further
+    # Gram-Schmidt row; then every row is a member at once.
     calls = count_gram_schmidt_rows(monkeypatch)
     lattice = IncrementalLattice(2)
     assert [lattice.insert(r) for r in [(2, 0), (0, 1)]] == [True, True]
@@ -297,11 +306,134 @@ def test_full_rank_of_index_two_still_localizes(monkeypatch):
     assert lattice.insert((4, 1)) is False
     assert calls[2:] == [(4, 1)]
     assert lattice.insert((1, 0)) is True
-    assert calls[3] == (1, 0)
+    assert calls[3:] == [(1, 0)]
     assert (lattice.rank, lattice.d[-1]) == (2, 1)
     n = len(calls)
     assert lattice.insert((3, 5)) is False
     assert len(calls) == n
+
+
+def count_hnf_calls(monkeypatch):
+    """The row lists the engine's rebuilds take the HNF of from now on."""
+    calls = []
+    column_hnf = reduction._column_hnf
+    monkeypatch.setattr(
+        reduction, "_column_hnf",
+        lambda rows: calls.append(list(rows)) or column_hnf(rows))
+    return calls
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+@pytest.mark.parametrize("how", ["insert", "extend"])
+@pytest.mark.parametrize("rows, hnf_calls, gram_schmidt_rows, d_last", [
+    # Z^2: the determinant comes out 1, so no HNF and no Gram-Schmidt row
+    # after the row's own.
+    ([(2, 0), (0, 1), (1, 0)], 0, 1, 1),
+    # Index 2 in Z^2: the new determinant is 2, so the HNF rebuild runs and
+    # extend takes the Gram-Schmidt rows of its two rows.
+    ([(4, 0), (0, 1), (2, 0)], 1, 3, 4),
+    # Rank 2 in dimension 3: the rule waits for full rank.
+    ([(2, 0, 0), (0, 1, 0), (1, 0, 0)], 1, 3, 1),
+])
+def test_full_rank_rebuild_to_z_dim_takes_no_hnf(monkeypatch, rows,
+                                                 hnf_calls,
+                                                 gram_schmidt_rows, d_last,
+                                                 how, scale):
+    gens = [tuple(F(c, scale) for c in r) for r in rows]
+    lattice, int_rows = IncrementalLattice.over(gens)
+    assert (lattice.scale, int_rows) == (scale, [list(r) for r in rows])
+    lattice.extend(int_rows[:-1])
+    swaps = lattice.swaps
+    hnf = count_hnf_calls(monkeypatch)
+    gram_schmidt = count_gram_schmidt_rows(monkeypatch)
+    if how == "insert":
+        assert lattice.insert(int_rows[-1]) is True
+    else:
+        lattice.extend(int_rows[-1:])
+    assert len(hnf) == hnf_calls
+    assert gram_schmidt[0] == tuple(rows[-1])
+    assert len(gram_schmidt) == gram_schmidt_rows
+    assert lattice.d[-1] == d_last
+    assert reference_hnf(lattice.rows) == reference_hnf(rows)
+    if hnf_calls == 0:
+        dim = lattice.dim
+        assert lattice.rows == [tuple(int(i == j) for i in range(dim))
+                                for j in range(dim)]
+        assert lattice.lam == [[0] * j for j in range(dim)]
+        assert lattice.d == [1] * (dim + 1)
+        assert lattice.swaps == swaps
+
+
+def test_member_row_under_extend_keeps_its_rebuild(monkeypatch):
+    # extend takes (4, 1), a member of the lattice of (2, 0), (0, 1): the
+    # determinant stays 2, so the rebuild runs its HNF as before.
+    lattice = IncrementalLattice(2)
+    lattice.extend([(2, 0), (0, 1)])
+    before = list(lattice.rows)
+    hnf = count_hnf_calls(monkeypatch)
+    lattice.extend([(4, 1)])
+    assert hnf == [[*before, (4, 1)]]
+    assert lattice.d[-1] == 4
+
+
+@st.composite
+def full_rank_families(draw):
+    """``d`` independent rows, then rows beyond them, all over one drawn
+    denominator: every row after the first ``d`` meets an engine of full
+    rank."""
+    d = draw(st.integers(1, 5))
+    entry = draw(st.sampled_from([1, 3, 20]))
+    row = st.tuples(*[st.integers(-entry, entry)] * d)
+    first = draw(st.lists(row, min_size=d, max_size=d))
+    assume(reference_det_bareiss_int([list(r) for r in first]))
+    extra = draw(st.lists(row, min_size=1, max_size=8))
+    den = draw(st.sampled_from([1, 2, 3, 6]))
+    return d, [tuple(F(c, den) for c in g) for g in first + extra]
+
+
+@settings(max_examples=200, deadline=None)
+@given(full_rank_families(), params_st, st.data())
+def test_full_rank_determinant_equals_reference_hnf(family, params, data):
+    # For each row that meets a full-rank engine: the coordinates x of the
+    # row in the engine's rows, by the frozen rational solve, and D = |det|
+    # of the rows, by the frozen Bareiss, give t = D x; gcd(D, t) must be
+    # the product of the pivots of the frozen HNF of the rows and the row,
+    # the engine's determinant after that row.  Each step of the top-down
+    # recurrence over the row's lambda-row divides exactly and gives t.
+    d, gens = family
+    lattice, rows = IncrementalLattice.over(gens, params)
+    lattice.extend(rows[:d])
+    for row in rows[d:]:
+        if not any(row):
+            continue
+        assert lattice.rank == d
+        ints = lattice.rows
+        det = abs(reference_det_bareiss_int([list(r) for r in ints]))
+        x = solve_in_span(LatticeBasis(ints), row)
+        t = [det * c for c in x]
+        assert all(c.denominator == 1 for c in t)
+        g = math.gcd(det, *map(int, t))
+        pivots = [[c for c in r if c][-1]
+                  for r in reference_hnf([*ints, row])]
+        assert g == math.prod(pivots)
+        lam_row, dn = lattice._gram_schmidt_row(row)
+        assert dn == 0
+        got = [0] * d
+        for l in range(d - 1, -1, -1):
+            u = det * lam_row[l] - sum(got[i] * lattice.lam[i][l]
+                                       for i in range(l + 1, d))
+            got[l], rem = divmod(u, lattice.d[l + 1])
+            assert rem == 0
+        assert got == t
+        if data.draw(st.booleans()):
+            rebuilt = lattice.insert(row)
+        else:
+            lattice.extend([row])
+            rebuilt = True
+        assert lattice.d[-1] == g * g
+        if g == 1 and rebuilt:
+            assert lattice.rows == [tuple(int(i == j) for i in range(d))
+                                    for j in range(d)]
 
 
 @st.composite
