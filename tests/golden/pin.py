@@ -7,7 +7,7 @@ Run from the repository root, on the commit whose output is to be pinned:
 The inputs are the first five ``basis-update`` and ``basis-member``
 instances and the first ten ``minima-blocks`` and ``decompose-blocks``
 instances of ``perfbench/corpus.py`` at seed 1, plus the small hand-written
-files of ``CI_INPUTS``.  Each pin is the exit code, stdout without
+files of ``HAND_INPUTS``.  Each pin is the exit code, stdout without
 its ``# time_compute:`` line, and stderr of one ``latkit.cli.main`` call.
 Re-pin only for a deliberate output change, and say so where the change is
 described.
@@ -31,7 +31,7 @@ HERE = Path(__file__).resolve().parent
 # rows than its dimension (no bound) runs under basis only.  The pins are
 # the one statement of what latkit prints for them: a deliberate output
 # change is re-pinned here and nowhere else.
-CI_INPUTS = {
+HAND_INPUTS = {
     # Rational entries put the rows over scale 2; (1/2, 1/2, 1) joins the
     # two unit components.
     "half.lat": ("3 3\n1 0 0\n0 1 0\n1/2 1/2 1\n", "3/2"),
@@ -111,7 +111,7 @@ def main() -> None:
             bound = inst.args[2] if len(inst.args) > 1 else None
             inputs.append((f"{inst.name}.lat", inst.text, [inst.args[0]],
                            bound))
-    for name, (text, bound) in CI_INPUTS.items():
+    for name, (text, bound) in HAND_INPUTS.items():
         commands = ["basis", "minima", "decompose"] if bound else ["basis"]
         inputs.append((name, text, commands, bound))
     cases = []

@@ -39,6 +39,10 @@ from latkit.reduction import IncrementalLattice
 
 import reference_format
 
+# The package source, put on PYTHONPATH where a test starts a fresh
+# interpreter.
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 def run_cli(args, tmp_path, content=None, capsys=None):
     if content is not None:
@@ -729,6 +733,14 @@ class TestMinimaCommand:
                        tmp_path, DIAG)
         assert code == EXIT_CAP
 
+    def test_cap_holds_exactly_the_set(self, tmp_path):
+        # Z^2 has 8 vectors of squared norm at most 2: a cap of 8 holds
+        # them, a cap of 7 is exceeded.
+        args = ["minima", "FILE", "--bound-sq", "2", "--cap"]
+        z2 = "2 2\n1 0\n0 1\n"
+        assert run_cli([*args, "8"], tmp_path, z2) == EXIT_OK
+        assert run_cli([*args, "7"], tmp_path, z2) == EXIT_CAP
+
     def test_verify_keeps_the_volume_off_the_engine(self, tmp_path,
                                                      monkeypatch, capsys):
         # The Minkowski check must take the squared volume from the input's
@@ -967,10 +979,9 @@ class TestBenchCommand:
                 "cli.lattice_equal = lambda a, b: False; "
                 "sys.exit(cli.main(['bench', '--dims', '2', "
                 "'--gen-counts', '4', '--reps', '1']))")
-        src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(
             [sys.executable, *flags, "-c", code], capture_output=True,
-            text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
+            text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(SRC)))
         assert proc.returncode == EXIT_VERIFY
         assert proc.stdout == ("seed,d,m,update_count,theorem_bound,"
                                "t_incremental,t_batch_mlll\n")
@@ -1015,10 +1026,9 @@ class TestEntryPoint:
         (the package has no dependencies).  Modules the interpreter loaded
         before the import, such as ``.pth`` hooks of ``site``, are not
         latkit's and are left out."""
-        src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(
             [sys.executable, "-c", STDLIB_PROBE], capture_output=True,
-            text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+            text=True, check=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
         code, origins = json.loads(proc.stdout.splitlines()[-1])
         assert code == EXIT_OK
         stdlib = [Path(sysconfig.get_paths()[k]).resolve()
@@ -1027,11 +1037,11 @@ class TestEntryPoint:
         def allowed(origin):
             # Third-party packages install under the stdlib directory too.
             p = Path(origin).resolve()
-            return p.is_relative_to(src / "latkit") or (
+            return p.is_relative_to(SRC / "latkit") or (
                 any(map(p.is_relative_to, stdlib))
                 and not {"site-packages", "dist-packages"} & set(p.parts))
 
-        assert any(Path(o).resolve().is_relative_to(src / "latkit")
+        assert any(Path(o).resolve().is_relative_to(SRC / "latkit")
                    for o in origins)
         assert [o for o in origins if not allowed(o)] == []
 
@@ -1046,12 +1056,11 @@ class TestEntryPoint:
         a timeout, so that a regression fails instead of hanging."""
         path = tmp_path / "input.lat"
         path.write_text(content)
-        src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(
             [sys.executable, "-m", "latkit.cli",
              *(str(path) if a == "FILE" else a for a in args)],
             capture_output=True, text=True, timeout=30,
-            env=dict(os.environ, PYTHONPATH=str(src)))
+            env=dict(os.environ, PYTHONPATH=str(SRC)))
         assert proc.returncode == EXIT_PARSE
         assert proc.stdout == ""
         assert re.fullmatch(r"(parse )?error: [^\n]*\n", proc.stderr)
@@ -1076,10 +1085,9 @@ class TestEntryPoint:
         path = tmp_path / "input.lat"
         if content is not None:
             path.write_text(content)
-        src = Path(__file__).resolve().parent.parent / "src"
         env = {k: v for k, v in os.environ.items()
                if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = str(src)
+        env["PYTHONPATH"] = str(SRC)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         argv = [sys.executable, "-m", "latkit.cli",
@@ -1106,8 +1114,7 @@ class TestEntryPoint:
         interpreter decodes with surrogateescape under the C locale."""
         path = tmp_path / "comment_ff.lat"
         path.write_bytes(b"1 1\n# \xff\n3\n")
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=str(src), LC_ALL="C")
+        env = dict(os.environ, PYTHONPATH=str(SRC), LC_ALL="C")
         for var in ("PYTHONIOENCODING", "PYTHONUTF8"):
             env.pop(var, None)
         for name in ("-", str(path)):
@@ -1129,6 +1136,55 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "# rank: 2" in proc.stdout
+
+    @pytest.mark.parametrize("command", [[], ["basis"], ["minima"],
+                                         ["decompose"], ["bench"]],
+                             ids=["latkit", "basis", "minima", "decompose",
+                                  "bench"])
+    def test_help_exits_0(self, command, capsys):
+        """``--help`` prints the usage on stdout and nothing on stderr;
+        argparse ends it with ``SystemExit(0)``, which ``main`` lets
+        through to the interpreter."""
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--help"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 0
+        assert captured.out.startswith(" ".join(["usage: latkit", *command]))
+        assert captured.err == ""
+
+    def test_module_entry_point_help(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "latkit.cli", "--help"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout.startswith("usage: latkit")
+        assert proc.stderr == ""
+
+    @pytest.mark.skipif(os.name != "posix",
+                        reason="closes a descriptor between fork and exec")
+    @pytest.mark.parametrize("fd, args, line", [
+        (0, ["basis", "-"], "error: cannot read -: Bad file descriptor"),
+        (1, ["basis", "FILE"],
+         "error: cannot write standard output: Bad file descriptor"),
+    ], ids=["stdin", "stdout"])
+    def test_closed_descriptor_exits_2(self, fd, args, line, tmp_path):
+        """An interpreter started with descriptor 0 or 1 closed (``latkit
+        basis - <&-``, ``latkit basis FILE >&-``) has ``sys.stdin`` or
+        ``sys.stdout`` None, as ``test_closed_stdin`` and
+        ``test_closed_stdout`` set it in-process: exit 2 and one error
+        line."""
+        path = tmp_path / "input.lat"
+        path.write_text(Z2_REDUNDANT)
+        proc = subprocess.run(
+            [sys.executable, "-m", "latkit.cli",
+             *(str(path) if a == "FILE" else a for a in args)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            preexec_fn=lambda: os.close(fd))
+        assert proc.returncode == EXIT_PARSE
+        assert proc.stdout == ""
+        assert proc.stderr == line + "\n"
 
     def test_script_declaration_names_main(self):
         """``pyproject.toml`` declares the ``latkit`` executable as

@@ -3,7 +3,7 @@ pinned exit code, stdout (without its ``# time_compute:`` line) and stderr,
 byte for byte.
 
 The inputs under ``tests/golden/inputs`` are instances of the benchmark
-corpus at seed 1 and small hand-written files, ``CI_INPUTS`` of
+corpus at seed 1 and small hand-written files, ``HAND_INPUTS`` of
 ``tests/golden/pin.py``, which wrote them and ``pins.json``.  These pins are
 the one statement of what ``latkit`` prints: a deliberate output change is
 re-pinned there and nowhere else.  The calls are ``basis`` plain, with
