@@ -6,17 +6,12 @@ recomputation happens rarely.
 """
 
 import random
-from fractions import Fraction
 
 from latkit import (
-    first_minimum_sq,
     generating_subset,
     incremental_basis,
     lattice_equal,
-    norm_sq,
-    update_step_bound_holds,
-    update_step_bound_value,
-    volume_sq,
+    update_step_bound,
 )
 
 rng = random.Random(1)
@@ -29,7 +24,7 @@ basis, trace = incremental_basis(gens)
 
 print("generators:", len(gens))
 print("basis:", [tuple(map(int, v)) for v in basis.vectors])
-print("volume^2:", volume_sq(basis))
+print("volume^2:", basis.volume_sq)
 print("membership tests:", trace.localization_count)
 print("update steps:", trace.update_count)
 
@@ -45,9 +40,6 @@ print("update-step subset size:", len(subset))
 print("subset regenerates lattice:", lattice_equal(subset, gens))
 
 # the number of updates respects the a-priori bound
-bound_sq = max(norm_sq(tuple(map(Fraction, g))) for g in gens)
-lambda1_sq = first_minimum_sq(basis)
-print("update bound:",
-      f"{update_step_bound_value(basis.rank, bound_sq, lambda1_sq):.2f}")
-print("bound holds:",
-      update_step_bound_holds(trace, basis.rank, bound_sq, lambda1_sq))
+bound, holds = update_step_bound(gens, basis, trace)
+print("update bound:", f"{bound:.2f}")
+print("bound holds:", holds)

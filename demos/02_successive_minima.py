@@ -12,12 +12,11 @@ from latkit import (
     greedy_minima_oracle,
     minkowski_check,
     successive_minima,
-    volume_sq,
 )
 
 d4 = LatticeBasis([(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1),
                    (0, 0, 1, 1)])
-print("D4 volume^2:", volume_sq(d4))
+print("D4 volume^2:", d4.volume_sq)
 
 s = enumerate_up_to(EnumerationRequest(d4, bound_sq=2))
 print("vectors with norm^2 <= 2:", len(s.vectors), "(kissing number 24)")

@@ -14,16 +14,9 @@ the bound and the room left under it (bound - u):
 """
 
 import random
-from fractions import Fraction
 from itertools import permutations
 
-from latkit import (
-    first_minimum_sq,
-    incremental_basis,
-    norm_sq,
-    update_step_bound_holds,
-    update_step_bound_value,
-)
+from latkit import incremental_basis, update_step_bound
 
 
 def dyadic_staircase(d, k):
@@ -36,13 +29,10 @@ def report(label, gens, trace=None):
     for the family's lattice and the room left under it."""
     basis, own = incremental_basis(gens)
     trace = trace or own
-    d = basis.rank
-    bound_sq = max(norm_sq(tuple(map(Fraction, g))) for g in gens)
-    lambda1_sq = first_minimum_sq(basis)
     u = trace.update_count
-    bound = update_step_bound_value(d, bound_sq, lambda1_sq)
-    assert update_step_bound_holds(trace, d, bound_sq, lambda1_sq)
-    print(f"{label:<28} {d:>2} {len(gens):>3} {u:>3} {bound:>8.3f} "
+    bound, holds = update_step_bound(gens, basis, trace)
+    assert holds
+    print(f"{label:<28} {basis.rank:>2} {len(gens):>3} {u:>3} {bound:>8.3f} "
           f"{bound - u:>7.3f}")
 
 

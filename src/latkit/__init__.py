@@ -33,6 +33,7 @@ from .incremental import (
     UpdateTrace,
     generating_subset,
     incremental_basis,
+    update_step_bound,
     update_step_bound_holds,
     update_step_bound_value,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "norm_sq",
     "orthogonal_decomposition",
     "successive_minima",
+    "update_step_bound",
     "update_step_bound_holds",
     "update_step_bound_value",
     "volume_sq",

@@ -43,7 +43,6 @@ from .core import (
     GeneratingSet,
     LatticeBasis,
     lattice_equal,
-    norm_sq,
 )
 from .decompose import (
     canonical_component_forms,
@@ -55,13 +54,11 @@ from .enumeration import (
     EnumerationCapExceeded,
     EnumerationRequest,
     enumerate_up_to,
-    first_minimum_sq,
 )
 from .incremental import (
     generating_subset,
     incremental_basis,
-    update_step_bound_holds,
-    update_step_bound_value,
+    update_step_bound,
 )
 from .minima import greedy_minima_oracle, minkowski_check, successive_minima
 from .reduction import DEFAULT_PARAMS, IncrementalLattice, ReductionParams
@@ -189,18 +186,21 @@ def parse_lattice_file(text: str) -> tuple[int, int, list[tuple]]:
 
 
 def _read_input(path: str) -> str:
+    """The input's bytes decoded as strict UTF-8, whatever the locale, with
+    line ends as they are."""
     try:
         if path != "-":
-            with open(path) as fh:
-                return fh.read()
+            with open(path, "rb") as fh:
+                return fh.read().decode()
         if sys.stdin is None:       # started with standard input closed
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        if hasattr(sys.stdin, "buffer"):
+            return sys.stdin.buffer.read().decode()
+        # A text stream in place of stdin: a byte that is not UTF-8 arrives
+        # as a lone surrogate, as a POSIX locale's stdin decodes it.
         text = sys.stdin.read()
         if not text.isascii():
-            # Under a POSIX locale stdin decodes with surrogateescape: a
-            # byte that is not UTF-8 arrives as a lone surrogate.  Decode
-            # the original bytes again, strictly, as a file is read.
-            text.encode("utf-8", "surrogateescape").decode()
+            text = text.encode("utf-8", "surrogateescape").decode()
         return text
     except (OSError, UnicodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
@@ -268,10 +268,7 @@ def cmd_basis(args) -> None:
                 f"volume_sq={format_scalar(rec.volume_sq_after)}")
         lines.append(f"# update_count: {trace.update_count}")
         if basis.rank >= 1:
-            lam1 = first_minimum_sq(basis, args.cap)
-            bsq = max(norm_sq(v) for v in rows)
-            holds = update_step_bound_holds(trace, basis.rank, bsq, lam1)
-            value = update_step_bound_value(basis.rank, bsq, lam1)
+            value, holds = update_step_bound(rows, basis, trace, args.cap)
             lines.append(f"# bound_value: {value:.6f}")
             lines.append(f"# bound_holds: {'true' if holds else 'false'}")
         lines.append(f"# time_compute: {t1 - t0:.6f}")
@@ -404,16 +401,15 @@ def bench_row(seed: int, d: int, m: int, entry_range: int,
     if not lattice_equal(basis, batch_basis):
         raise UsageError("batch MLLL gives another lattice", EXIT_VERIFY,
                          "verification failed")
-    lam1 = first_minimum_sq(basis)
-    bsq = max(norm_sq(v) for v in gens)
+    value, holds = update_step_bound(gens, basis, trace)
     return {
         "seed": seed,
         "d": d,
         "m": m,
         "update_count": trace.update_count,
         "membership_tests": trace.localization_count,
-        "theorem_bound": update_step_bound_value(basis.rank, bsq, lam1),
-        "bound_holds": update_step_bound_holds(trace, basis.rank, bsq, lam1),
+        "theorem_bound": value,
+        "bound_holds": holds,
         "t_incremental": t1 - t0,
         "t_batch_mlll": t2 - t1,
         "swaps_incremental": trace.swaps,

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import LatticeBasis
+from .core import LatticeBasis, norm_sq
+from .enumeration import DEFAULT_CAP, first_minimum_sq
 from .reduction import DEFAULT_PARAMS, IncrementalLattice, ReductionParams
 
 
@@ -111,6 +112,20 @@ def update_step_bound_value(d: int, bound_sq, lambda1_sq) -> float:
     ratio = _bound_ratio(bound_sq, lambda1_sq)
     log2_ratio = math.log2(ratio.numerator) - math.log2(ratio.denominator)
     return d + math.log2(math.factorial(d)) + d * log2_ratio / 2
+
+
+def update_step_bound(generators: Sequence, basis: LatticeBasis,
+                      trace: UpdateTrace, cap: int = DEFAULT_CAP
+                      ) -> tuple[float, bool]:
+    """The bound for ``incremental_basis(generators)``, whose result is
+    ``basis``, and whether ``trace`` keeps to it: ``d`` is the rank, ``B``
+    the longest generator and ``lambda_1`` the first minimum, found under
+    ``cap``.  Raises ``ValueError`` at rank zero, as ``first_minimum_sq``
+    does."""
+    d, lambda1_sq = basis.rank, first_minimum_sq(basis, cap)
+    bound_sq = max(map(norm_sq, generators))
+    return (update_step_bound_value(d, bound_sq, lambda1_sq),
+            update_step_bound_holds(trace, d, bound_sq, lambda1_sq))
 
 
 def generating_subset(generators: Sequence, trace: UpdateTrace

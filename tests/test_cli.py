@@ -1128,6 +1128,37 @@ class TestEntryPoint:
                 f"error: cannot read {name}: 'utf-8' codec can't decode "
                 f"byte 0xff in position 6: invalid start byte\n").encode()
 
+    @pytest.mark.parametrize("data", [
+        b"# caf\xc3\xa9\n2 2\n1 0\n0 1\n",
+        (Path(__file__).parent / "golden" / "inputs" / "mixed.lat")
+        .read_bytes(),
+    ], ids=["comment", "mixed.lat"])
+    def test_utf8_input_whatever_the_locale(self, data, tmp_path):
+        """Input is read as UTF-8 bytes under the C locale and under a
+        non-UTF-8 stdio encoding: on stdin and as a path, each run prints
+        what the run under a UTF-8 locale prints."""
+        path = tmp_path / "input.lat"
+        path.write_bytes(data)
+        base = dict(os.environ, PYTHONPATH=str(SRC))
+        for var in ("PYTHONIOENCODING", "PYTHONUTF8", "PYTHONCOERCECLOCALE"):
+            base.pop(var, None)
+
+        def run(name, **env):
+            with path.open("rb") as stdin:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "latkit.cli", "basis", name],
+                    stdin=stdin, capture_output=True, env={**base, **env},
+                    timeout=60)
+            assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+            return proc.stdout
+
+        want = run(str(path), LC_ALL="C.UTF-8")
+        for env in ({"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+                     "PYTHONUTF8": "0"},
+                    {"LC_ALL": "C.UTF-8", "PYTHONIOENCODING": "latin-1"}):
+            for name in ("-", str(path)):
+                assert run(name, **env) == want, (name, env)
+
     def test_module_entry_point(self, tmp_path):
         path = tmp_path / "z2.lat"
         path.write_text(Z2_REDUNDANT)

@@ -14,6 +14,7 @@ from latkit import (
     incremental_basis,
     lattice_equal,
     norm_sq,
+    update_step_bound,
     update_step_bound_holds,
     update_step_bound_value,
 )
@@ -106,6 +107,9 @@ class TestUpdateStepBound:
             update_count = 1
         with pytest.raises(ValueError):
             update_step_bound_holds(FakeTrace(), 1, 1, 0)
+        # At rank zero there is no first minimum.
+        with pytest.raises(ValueError):
+            update_step_bound([(0, 0)], *incremental_basis([(0, 0)]))
 
     def test_holds_on_random_instances(self):
         rng = random.Random(8)
@@ -120,6 +124,8 @@ class TestUpdateStepBound:
                       if any(g))
             lam1 = first_minimum_sq(basis)
             assert update_step_bound_holds(trace, basis.rank, bsq, lam1)
+            assert update_step_bound(gens, basis, trace) == (
+                update_step_bound_value(basis.rank, bsq, lam1), True)
 
 
 class TestUpdateStepBoundOnStaircases:
@@ -187,9 +193,7 @@ def test_bound_holds_for_the_worst_insertion_order(family):
     basis, _ = incremental_basis(gens)
     worst = max((incremental_basis(p)[1] for p in permutations(gens)),
                 key=lambda t: t.update_count)
-    bsq = max(norm_sq(tuple(map(F, g))) for g in gens)
-    assert update_step_bound_holds(worst, basis.rank, bsq,
-                                   first_minimum_sq(basis))
+    assert update_step_bound(gens, basis, worst)[1]
 
 
 class TestGeneratingSubset:
