@@ -142,38 +142,49 @@ def _literal(token: str):
 
 def parse_lattice_file(text: str) -> tuple[int, int, list[tuple]]:
     """Parse header 'd m' plus m rows of d rational literals; each entry is
-    an ``int`` for an integer literal and a ``Fraction`` otherwise."""
+    an ``int`` for an integer literal and a ``Fraction`` otherwise.
+
+    A data line whose text (line end excluded) was read before in the same
+    call appends the row tuple read then, with no token work; the header
+    line is never reused, and the row count is checked on every line.
+    Nothing is kept between calls."""
     header: Optional[tuple[int, int]] = None
     header_line = 1
     rows: list[tuple] = []
+    read: dict[str, tuple] = {}     # data line text -> its row
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if header is None:
-            try:
-                d, m = map(int, tokens)
-            except ValueError:
+        row = read.get(raw)
+        if row is None:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split()
+            if header is None:
+                try:
+                    d, m = map(int, tokens)
+                except ValueError:
+                    raise LatticeFileError(
+                        line_no, "header must be two integers 'd m'")
+                if d < 1 or m < 0:      # m = 0: the zero lattice, no rows
+                    raise LatticeFileError(
+                        line_no, "header requires d>=1, m>=0")
+                header, header_line = (d, m), line_no
+                continue
+            if len(tokens) != d:
                 raise LatticeFileError(
-                    line_no, "header must be two integers 'd m'")
-            if d < 1 or m < 0:      # m = 0: the zero lattice, no rows
-                raise LatticeFileError(line_no, "header requires d>=1, m>=0")
-            header, header_line = (d, m), line_no
-            continue
-        d, m = header
-        if len(tokens) != d:
-            raise LatticeFileError(
-                line_no, f"expected {d} entries, got {len(tokens)}")
-        try:
-            try:    # one int pass, or _literal per token if int rejects one
-                if not line.isascii() or "_" in line:
-                    raise ValueError
-                rows.append(tuple(map(int, tokens)))
-            except ValueError:
-                rows.append(tuple(map(_literal, tokens)))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise LatticeFileError(line_no, f"bad rational literal: {exc}")
+                    line_no, f"expected {d} entries, got {len(tokens)}")
+            try:
+                try:    # one int pass, or _literal per token if int rejects
+                    if not line.isascii() or "_" in line:
+                        raise ValueError
+                    row = tuple(map(int, tokens))
+                except ValueError:
+                    row = tuple(map(_literal, tokens))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise LatticeFileError(
+                    line_no, f"bad rational literal: {exc}")
+            read[raw] = row
+        rows.append(row)
         if len(rows) > m:
             raise LatticeFileError(line_no, f"more than {m} data rows")
     if header is None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import LatticeBasis, norm_sq
+from .core import LatticeBasis, _idot, integerize
 from .enumeration import DEFAULT_CAP, first_minimum_sq
 from .reduction import DEFAULT_PARAMS, IncrementalLattice, ReductionParams
 
@@ -62,20 +62,24 @@ def incremental_basis(generators: Sequence, params: ReductionParams =
     a time.
 
     Zero generators are dropped silently; every nonzero generator produces
-    one trace record (duplicates and members count as localization-only
-    steps; the lattice only grows, so a duplicate needs no ``insert``).
+    one trace record (repeats and members count as localization-only
+    steps).  Each distinct generator, as a tuple, takes one slot in order
+    of first appearance; only the distinct ones are integerized, and each
+    nonzero one is inserted once: the lattice only grows, so a repeat needs
+    no ``insert``.  Nothing is kept between calls.
     """
-    lattice, rows = IncrementalLattice.over(generators, params)
+    slots: dict[tuple, int] = {}
+    order = [slots.setdefault(tuple(g), len(slots)) for g in generators]
+    lattice, rows = IncrementalLattice.over(slots, params)
     steps = []
-    seen: set[tuple[int, ...]] = set()
-    for i, row in enumerate(rows):
-        if not any(row):
-            continue
-        key = tuple(row)
-        if key in seen:
+    for i, s in enumerate(order):
+        row = rows[s]
+        if row is None:         # a repeat of an inserted generator
             was_update = False
+        elif not any(row):
+            continue
         else:
-            seen.add(key)
+            rows[s] = None
             was_update = lattice.insert(row)
         r = lattice.rank
         steps.append((i, was_update, r, lattice.d[r]))
@@ -123,7 +127,8 @@ def update_step_bound(generators: Sequence, basis: LatticeBasis,
     ``cap``.  Raises ``ValueError`` at rank zero, as ``first_minimum_sq``
     does."""
     d, lambda1_sq = basis.rank, first_minimum_sq(basis, cap)
-    bound_sq = max(map(norm_sq, generators))
+    rows, scale = integerize(dict.fromkeys(map(tuple, generators)))
+    bound_sq = Fraction(max(map(_idot, rows, rows)), scale * scale)
     return (update_step_bound_value(d, bound_sq, lambda1_sq),
             update_step_bound_holds(trace, d, bound_sq, lambda1_sq))
 

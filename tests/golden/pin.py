@@ -77,6 +77,12 @@ HAND_INPUTS = {
     "axes.lat": ("2 2\n0 3\n3 0\n", "9"),
     # rank2_half.lat at scale 1.
     "rank2.lat": ("3 2\n1 1 0\n0 0 2\n", "4"),
+    # One row spelled three ways, then written again after a comment, and
+    # a zero row twice: the parser reads a repeated line once, basis
+    # integerizes and localizes a repeated generator once, and a zero row
+    # leaves no trace record.
+    "repeats.lat": ("3 8\n1 2 3\n  1 2 3\n0 0 0\n+1 2 3\n0 1 1\n"
+                    "# the first row again\n1 2 3\n0 0 0\n2 0 1\n", None),
 }
 
 

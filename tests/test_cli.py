@@ -38,6 +38,7 @@ from latkit.minima import MinimaResult, minkowski_check
 from latkit.reduction import IncrementalLattice
 
 import reference_format
+import reference_parse
 
 # The package source, put on PYTHONPATH where a test starts a fresh
 # interpreter.
@@ -84,6 +85,37 @@ def literal_tokens(draw):
         token += tail + draw(digits if tail in "/." else
                              st.text(chars, min_size=1, max_size=3))
     return token
+
+
+# Entries for files whose lines repeat: integer, rational, non-ASCII and
+# '_' literals; then an exponent past the digit limit and two bad tokens.
+POOL_TOKENS = ["0", "1", "-2", "+3", "007", "1/2", "-3/4", "1.5", "1_0",
+               "\u0663", "\u0663/\u0664", "\uff11"]
+POOL_BAD_TOKENS = ["1e5000", "x", "3/0"]
+
+
+@st.composite
+def repeating_lattice_files(draw):
+    """A lattice file of 1-3 columns whose lines come from a small pool, so
+    that they repeat: data rows, an indented and a CR LF copy of one row,
+    comment and blank lines, and, in some files, that row with one entry
+    too many and a line whose text is the header's.  The header promises
+    the number of data lines, give or take one."""
+    d = draw(st.integers(1, 3))
+    tokens = st.sampled_from(
+        POOL_TOKENS + draw(st.sampled_from([[], POOL_BAD_TOKENS])))
+    row = st.lists(tokens, min_size=d, max_size=d).map(" ".join)
+    rows = draw(st.lists(row, min_size=1, max_size=3))
+    twin = rows[0]
+    pool = [*rows, f"  {twin}", f"{twin}\r", "", "  ", "# note", "# HEADER"]
+    if draw(st.booleans()):
+        pool += [f"{twin} 1", "HEADER"]
+    body = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=10))
+    n = sum(bool(line.strip()) and not line.strip().startswith("#")
+            for line in body)
+    header = f"{d} {max(0, n + draw(st.sampled_from([0, 0, -1, 1])))}"
+    lines = [line.replace("HEADER", header) for line in [header, *body]]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
 class TestParsing:
@@ -221,6 +253,34 @@ class TestParsing:
             return
         option = read_bound_sq()
         assert option == want and type(option) is F
+
+    @settings(max_examples=400, deadline=None)
+    @given(repeating_lattice_files())
+    @example("2 4\n1 2\n\n# note\n  1 2\n1 2\r\n1 2\n")
+    @example("2 3\n1/2 \u0663\n1_0 1/2\n1/2 \u0663\n")
+    @example("2 2\n2 2\n2 2\n")
+    @example("1 1\n1 1\n")
+    @example("2 3\n1 2\n1 2\n1 2 3\n")
+    @example("2 1\n1 2\n1 2\n")
+    @example("2 0\n# 2 0\n")
+    @example("1 2\n3/0\n3/0\n")
+    def test_repeated_lines_read_as_the_frozen_parser(self, text):
+        # The parser reads a repeated data line once per file; it must
+        # return what the frozen parser, which reads every line, returns,
+        # with the same entry types, or raise the same error.
+        try:
+            want = reference_parse.parse_lattice_file(text)
+        except LatticeFileError as exc:
+            event("error")
+            with pytest.raises(LatticeFileError) as err:
+                parse_lattice_file(text)
+            assert str(err.value) == str(exc)
+            return
+        got = parse_lattice_file(text)
+        assert got == want
+        assert [list(map(type, r)) for r in got[2]] == \
+            [list(map(type, r)) for r in want[2]]
+        event(f"repeated rows: {len(want[2]) > len(set(want[2]))}")
 
     def test_entries_are_int_or_fraction(self):
         _, _, rows = parse_lattice_file("2 3\n1/2 -3\n٣/٤ 007\n+5 -0\n")

@@ -34,6 +34,7 @@ from latkit import (
     ReductionParams,
     canonical_component_forms,
     enumerate_up_to,
+    first_minimum_sq,
     generating_subset,
     graph_decomposition_oracle,
     greedy_minima_oracle,
@@ -41,8 +42,12 @@ from latkit import (
     is_member,
     lattice_equal,
     mlll,
+    norm_sq,
     orthogonal_decomposition,
     successive_minima,
+    update_step_bound,
+    update_step_bound_holds,
+    update_step_bound_value,
 )
 from latkit import reduction
 from latkit.cli import bench_row
@@ -64,8 +69,8 @@ params_st = st.sampled_from(DELTAS).map(ReductionParams)
 
 @st.composite
 def generator_families(draw):
-    """Integer or rational generators with zeros, duplicates and
-    rank-deficient families."""
+    """Integer or rational generators with zero rows, repeats (some as
+    lists or with Fraction entries) and rank-deficient families."""
     d = draw(st.integers(1, 5))
     entry = draw(st.sampled_from([1, 3, 20]))
     row = st.tuples(*[st.integers(-entry, entry)] * d)
@@ -88,11 +93,24 @@ def generator_families(draw):
         gens = [tuple(sum(c * b[i] for c, b in zip(cs, base))
                       for i in range(d))
                 for cs in draw(st.lists(coeffs, min_size=m, max_size=m))]
-    if draw(st.booleans()):
-        gens.append(tuple([0] * d))
+    # Several zero rows, which a repeat of one of them may join below.
+    for _ in range(draw(st.integers(0, 3))):
+        gens.insert(draw(st.integers(0, len(gens))), tuple([0] * d))
     if draw(st.integers(0, 3)) == 0:
         den = st.sampled_from([1, 2, 3, 6])
         gens = [tuple(F(c, draw(den)) for c in g) for g in gens]
+    # A repeated vector may come back as a list, or with Fraction entries
+    # in place of ints: ``incremental_basis`` must give it the slot of its
+    # first appearance, whose key is another object.
+    seen = set()
+    for i, g in enumerate(gens):
+        if g in seen:
+            form = draw(st.sampled_from(["tuple", "list", "fractions",
+                                         "fraction list"]))
+            if "fraction" in form:
+                g = tuple(map(F, g))
+            gens[i] = list(g) if "list" in form else g
+        seen.add(g)
     return d, gens
 
 
@@ -134,6 +152,22 @@ def test_incremental_basis_equals_reference_loop(family, params):
     assert trace.localization_count == len(trace.insertions)
     assert generating_subset(gens, trace) == \
         tuple(tuple(gens[r.index]) for r in want_records if r.was_update)
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_families())
+def test_update_step_bound_takes_the_longest_generator(family):
+    # update_step_bound reads B^2 off the integer rows of the distinct
+    # generators; it must equal the largest Fraction norm of any generator,
+    # repeats and other spellings included.
+    _, gens = family
+    basis, trace = incremental_basis(gens)
+    assume(basis.rank > 0)
+    d, bound_sq = basis.rank, max(norm_sq(tuple(map(F, g))) for g in gens)
+    lambda1_sq = first_minimum_sq(basis)
+    assert update_step_bound(gens, basis, trace) == (
+        update_step_bound_value(d, bound_sq, lambda1_sq),
+        update_step_bound_holds(trace, d, bound_sq, lambda1_sq))
 
 
 def test_update_in_the_span_rebuilds_from_the_hnf():

@@ -31,7 +31,7 @@ def test_pins_cover_every_command():
             "cross.lat", "mixed.lat", "axes.lat"} <= {
                 c["input"] for c in PINS if c["command"] == "decompose"}
     assert {"mixed.lat", "pool.lat", "intlines.lat", "rebuilds.lat",
-            "z3.lat", "half_z2.lat", "axes.lat"} <= {
+            "z3.lat", "half_z2.lat", "axes.lat", "repeats.lat"} <= {
                 c["input"] for c in PINS
                 if c["command"] == "basis" and c["options"] == ["--trace"]}
     assert any(c["command"] == "decompose" and c["exit"] == 4 for c in PINS)
