@@ -342,7 +342,8 @@ def cmd_minima(args) -> None:
 
 def cmd_decompose(args) -> None:
     text, d, _, lat, s = _input_lattice(args)
-    decomp = orthogonal_decomposition(s, args.delta) if s.rows else None
+    decomp = (orthogonal_decomposition(s, args.delta, lattice=lat)
+              if s.rows else None)
     # s lies in L and the components are pairwise orthogonal: s generates L
     # iff their ranks sum to L's and their squared volumes multiply to L's.
     comps = decomp.components if decomp else ()
@@ -454,12 +455,15 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused after."""
+    """The argument parser, built on the first call and reused after; its
+    ``subcommands`` maps each subcommand's name to that command's parser
+    (the ``choices`` of its subparsers action)."""
     parser = _Parser(
         prog="latkit",
         description="Exact incremental lattice algorithms: basis, "
                     "successive minima, orthogonal decomposition.")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices
 
     def delta(p):
         p.add_argument("--delta", type=_delta, default=DEFAULT_PARAMS,
@@ -511,9 +515,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command; the one place where a failure becomes an exit code
-    and a line on stderr."""
+    and a line on stderr.
+
+    ``argv`` defaults to ``sys.argv[1:]``.  When its first item names a
+    subcommand, that command's parser reads the rest, the one parse the
+    top-level parser would hand it; any other command line (empty, ``-h``,
+    an unknown name, ``--``) goes to the top-level parser."""
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        command = parser.subcommands.get(argv[0]) if argv else None
+        args = (command.parse_args(argv[1:]) if command
+                else parser.parse_args(argv))
         try:
             args.func(args)
         finally:

@@ -129,7 +129,9 @@ class GeneratingSet:
     complete: bool = False
 
     def __init__(self, vectors, bound_sq, complete=False):
-        self._init_rows(*integerize(vectors), bound_sq, complete)
+        rows, scale = integerize(vectors)
+        self._take(_norm_order(rows, scale, bound_sq), scale, bound_sq,
+                   complete)
         rows = self.rows
         if complete and {*rows} != {tuple(map(neg, r)) for r in rows}:
             raise ValueError("a complete set must hold -v with every v")
@@ -140,35 +142,55 @@ class GeneratingSet:
         """The set of the vectors ``row / scale``, for integer rows over one
         positive common denominator ``scale``; zero rows are dropped.  A
         ``complete`` set must hold ``-r`` with every ``r``, unchecked here:
-        ``enumerate_up_to`` emits each row with its negation."""
+        the caller vouches for it.  ``_norm_order`` checks the scale, the
+        row lengths and the bound and sorts the rows; ``_sorted`` takes
+        them then, as it takes the enumerator's rows."""
+        return cls._sorted(_norm_order(rows, scale, bound_sq), scale,
+                           bound_sq, complete)
+
+    @classmethod
+    def _sorted(cls, rows, scale: int, bound_sq,
+                complete: bool = False) -> "GeneratingSet":
+        """The set of nonzero integer rows of one length over ``scale``,
+        already within the bound and in (norm, lex) order, as
+        ``enumerate_up_to`` emits them: no check, no sort."""
         s = object.__new__(cls)
-        s._init_rows(rows, scale, bound_sq, complete)
+        s._take(rows, scale, bound_sq, complete)
         return s
 
-    def _init_rows(self, rows, scale, bound_sq, complete) -> None:
-        bound_sq = Fraction(bound_sq)
-        _set_rows(self, rows, scale, bound_sq=bound_sq,
+    def _take(self, rows, scale, bound_sq, complete) -> None:
+        _set_rows(self, rows, scale, bound_sq=Fraction(bound_sq),
                   complete=bool(complete))
-        rows, scale = self.rows, self.scale
-        if len({len(r) for r in rows}) > 1:
-            raise ValueError("vectors have mixed dimensions")
-        # n <= bound_sq * scale^2 iff n <= its floor, n being an integer.
-        limit = bound_sq.numerator * scale * scale // bound_sq.denominator
-        keyed = []
-        for r in rows:
-            n = _idot(r, r)
-            if not n:
-                continue
-            if n > limit:
-                v = tuple(Fraction(c, scale) for c in r)
-                raise ValueError(
-                    f"vector {v} exceeds the squared norm bound {bound_sq}")
-            keyed.append((n, r))
-        # With scale > 0, (n, r) orders as (norm_sq, r / scale) does.
-        keyed.sort()
-        object.__setattr__(self, "rows", tuple(r for _, r in keyed))
 
     vectors = LatticeBasis.vectors      # rows / scale, on each access
+
+
+def _norm_order(rows: Iterable[Sequence[int]], scale: int,
+                bound_sq) -> list[tuple[int, ...]]:
+    """The nonzero integer rows over ``scale`` in nondecreasing squared
+    norm with lexicographic ties, which is the order of the vectors ``row /
+    scale``.  Refuses a scale below 1, rows of mixed lengths and a row past
+    the squared norm bound."""
+    bound_sq = Fraction(bound_sq)
+    if scale < 1:
+        raise ValueError(f"scale must be a positive integer, got {scale}")
+    rows = list(map(tuple, rows))
+    if len({*map(len, rows)}) > 1:
+        raise ValueError("vectors have mixed dimensions")
+    # n <= bound_sq * scale^2 iff n <= its floor, n being an integer.
+    limit = bound_sq.numerator * scale * scale // bound_sq.denominator
+    keyed = []
+    for r in rows:
+        n = _idot(r, r)
+        if not n:
+            continue
+        if n > limit:
+            v = tuple(Fraction(c, scale) for c in r)
+            raise ValueError(
+                f"vector {v} exceeds the squared norm bound {bound_sq}")
+        keyed.append((n, r))
+    keyed.sort()
+    return [r for _, r in keyed]
 
 
 def _complete_rows(s: GeneratingSet, requires: str) -> tuple:

@@ -44,11 +44,21 @@ class Decomposition:
                                 initial=1))[:-1]
 
 
-def orthogonal_decomposition(s: GeneratingSet,
-                             params: ReductionParams = DEFAULT_PARAMS,
-                             check_invariants: bool = False) -> Decomposition:
+def orthogonal_decomposition(
+        s: GeneratingSet, params: ReductionParams = DEFAULT_PARAMS,
+        check_invariants: bool = False, *,
+        lattice: LatticeBasis | IncrementalLattice | None = None
+) -> Decomposition:
     """Decompose the lattice generated by the complete set ``s`` into
     indecomposable pairwise-orthogonal sublattices.
+
+    ``lattice``, when given, is a lattice ``L`` that holds ``s``, such as
+    the one ``s`` was enumerated in (a ``LatticeBasis`` or an engine).
+    Once the scan's lattice has ``L``'s rank and squared volume it is
+    ``L``: no later row can be an update, so no merge can happen, and the
+    scan stops there (Kneser).  Where ``s`` does not generate ``L`` the
+    scan reads every row.  Either way the result is the one without
+    ``lattice``.
 
     At each update of the scan the row joins every component (an engine
     over ``s.scale``) holding a row it is not orthogonal to, its projection
@@ -59,8 +69,14 @@ def orthogonal_decomposition(s: GeneratingSet,
     bases returned; the scan's membership test does not depend on it.
     ``check_invariants`` asserts pairwise orthogonality after every merge.
     """
+    target = None
+    if lattice is not None:
+        n = lattice.rank
+        dn = lattice.volume_sq * s.scale ** (2 * n)
+        if dn.denominator == 1:     # else s cannot generate L
+            target = (n, dn.numerator)
     components: list[IncrementalLattice] = []
-    for row, _ in _scan(s, "orthogonal decomposition requires"):
+    for row, _ in _scan(s, "orthogonal decomposition requires", target):
         joined = [c for c in components
                   if any(_idot(row, b) for b in c.rows)]
         merged = IncrementalLattice(len(row), params, s.scale)

@@ -13,7 +13,10 @@ Each piece of work is done once.  While every higher coefficient is zero,
 ``x`` and ``-x`` at a level lead to vectors ``v`` and ``-v``, so the search
 takes ``x >= 0`` there (``x > 0`` at level 0) and emits each vector found
 with its negation.  The row ``sum_{j>=i} x_j b_j`` runs down the recursion
-and steps by ``b_i`` as ``x_i`` advances, so a leaf costs one row addition.
+and steps by ``b_i`` as ``x_i`` advances, so a leaf costs one row addition;
+the leaf already holds the row's squared norm in the search's integers, so
+the rows are sorted on it once and the set takes them with no check and no
+second norm (``GeneratingSet._sorted``).
 Its independent check, a naive coefficient-box scan over the given basis,
 and the enumerator as it ran before are test code
 (``tests/reference_enumeration.py``).
@@ -68,9 +71,12 @@ def enumerate_up_to(req: EnumerationRequest) -> GeneratingSet:
     basis presented.  A ``LatticeBasis`` is reduced first, its integer rows
     in an engine built at its scale; an engine is searched as it stands.
     The search stays in the engine's integers up to the output: each vector
-    found is kept as its integer row over the engine's ``scale``, and
-    ``GeneratingSet.from_rows`` checks and sorts them and brings them to
-    their least common denominator.
+    found is kept as its integer row over the engine's ``scale`` with the
+    row's squared norm, worked out at the leaf; the rows are sorted on
+    (norm, row) once, and ``GeneratingSet._sorted`` brings them to their
+    least common denominator.  The search itself guarantees what
+    ``GeneratingSet.from_rows`` would check: the bound, one length and
+    ``-v`` with every ``v``.
     """
     lat = req.basis
     if not isinstance(lat, IncrementalLattice):
@@ -89,7 +95,7 @@ def enumerate_up_to(req: EnumerationRequest) -> GeneratingSet:
     bound = req.bound_sq    # top = floor(bound_sq scale^2 lcm), in ints
     top = bound.numerator * scale * scale * lcm // bound.denominator
     coeffs = [0] * n
-    out: list[tuple[int, ...]] = []     # vectors times scale
+    out: list[tuple[int, tuple[int, ...]]] = []  # (|v|^2 scale^2, v scale)
 
     def recurse(i: int, budget: int, above: tuple[int, ...],
                 first: bool) -> None:
@@ -103,17 +109,20 @@ def enumerate_up_to(req: EnumerationRequest) -> GeneratingSet:
         lo = (0 if i else 1) if first else -((r + s) // di1)
         v = tuple(a + lo * c for a, c in zip(above, b)) if lo else above
         for x in range(lo, (r - s) // di1 + 1):
+            u = di1 * x + s
             if i:
                 coeffs[i] = x
-                u = di1 * x + s
                 recurse(i - 1, budget - u * u * wi, v, first and not x)
             else:
                 # The count grows in pairs and so stays even: this raises
                 # exactly when the total passes the cap.
                 if len(out) + 2 > cap:
                     raise EnumerationCapExceeded(cap)
-                out.append(v)
-                out.append(tuple(map(neg, v)))
+                # The levels above sum to top - budget, so the row's
+                # squared norm is an exact division.
+                norm = (top - budget + u * u * wi) // lcm
+                out.append((norm, v))
+                out.append((norm, tuple(map(neg, v))))
             v = tuple(map(add, v, b))
 
     limit = sys.getrecursionlimit()
@@ -122,7 +131,10 @@ def enumerate_up_to(req: EnumerationRequest) -> GeneratingSet:
         recurse(n - 1, top, (0,) * lat.dim, True)
     finally:
         sys.setrecursionlimit(limit)
-    return GeneratingSet.from_rows(out, scale, req.bound_sq, complete=True)
+    # (norm, row) orders as (norm_sq, vector) does, scale being positive.
+    out.sort()
+    return GeneratingSet._sorted([r for _, r in out], scale, req.bound_sq,
+                                 complete=True)
 
 
 def first_minimum_sq(basis: LatticeBasis, cap: int = DEFAULT_CAP) -> Fraction:

@@ -273,7 +273,8 @@ class IncrementalLattice:
         self.swaps += swaps
 
 
-def _scan(s, requires: str) -> Iterator[tuple[tuple[int, ...], int]]:
+def _scan(s, requires: str, target: tuple[int, int] | None = None
+          ) -> Iterator[tuple[tuple[int, ...], int]]:
     """The norm-ordered scan of the minima and the decomposition: the rows
     of the complete set ``s`` go in its order into one engine over
     ``s.scale``, and each update yields the row and the rank reached.  The
@@ -281,13 +282,22 @@ def _scan(s, requires: str) -> Iterator[tuple[tuple[int, ...], int]]:
     the lattice alone.  Of ``v`` and ``-v``, both in a complete set, the row
     below zero (first nonzero entry negative) comes first, and only it is
     inserted: the other is then a member.  ``requires`` names the caller in
-    the incomplete-set error."""
+    the incomplete-set error.
+
+    ``target``, a rank ``n`` and an integer ``D``, is a lattice ``L`` that
+    holds ``s``: ``n`` its rank and ``D`` its squared volume times
+    ``s.scale^(2n)``.  The scan then ends right after the update at which
+    the engine has rank ``n`` and ``d[n] == D``: its lattice lies in ``L``
+    with ``L``'s rank and volume, so it is ``L``, and no later row can be
+    an update."""
     rows = _complete_rows(s, requires)
     engine = IncrementalLattice(len(rows[0]), scale=s.scale)
     zero = (0,) * engine.dim
     for row in rows:
         if row < zero and engine.insert(row):
             yield row, engine.rank
+            if target and (engine.rank, engine.d[-1]) == target:
+                return
 
 
 def mlll(generators: Sequence, params: ReductionParams = DEFAULT_PARAMS

@@ -1,3 +1,4 @@
+import argparse
 import random
 from fractions import Fraction
 
@@ -12,6 +13,39 @@ from reference_linalg import rank_of
 def d4_basis() -> LatticeBasis:
     return LatticeBasis([(1, -1, 0, 0), (0, 1, -1, 0),
                          (0, 0, 1, -1), (0, 0, 1, 1)])
+
+
+@pytest.fixture(scope="module")
+def parse_as_top_level():
+    """For a module's tests: each parse ``main`` makes with a subcommand's
+    parser must give the namespace of the top-level parser's parse of the
+    whole command line, less ``command``, or raise its refusal.  A help
+    request exits inside the first parse and is not compared here."""
+    from latkit import cli
+    parser = cli.build_parser()
+    names = {id(p): name for name, p in parser.subcommands.items()}
+    plain = argparse.ArgumentParser.parse_args
+
+    def parse_args(self, args=None, namespace=None):
+        name = names.get(id(self))
+        if name is None:
+            return plain(self, args, namespace)
+        argv = [name, *args]
+        try:
+            got = plain(self, args, namespace)
+        except cli.UsageError as exc:
+            with pytest.raises(cli.UsageError) as want:
+                plain(parser, argv)
+            assert (str(want.value), want.value.code) == (str(exc), exc.code)
+            raise
+        want = vars(plain(parser, argv))
+        del want["command"]
+        assert vars(got) == want, argv
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli._Parser, "parse_args", parse_args)
+        yield
 
 
 @pytest.fixture

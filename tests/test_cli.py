@@ -40,6 +40,10 @@ from latkit.reduction import IncrementalLattice
 import reference_format
 import reference_parse
 
+# Every command line these tests hand to main in this process is also
+# parsed whole by the top-level parser, and the two must agree.
+pytestmark = pytest.mark.usefixtures("parse_as_top_level")
+
 # The package source, put on PYTHONPATH where a test starts a fresh
 # interpreter.
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -55,6 +59,7 @@ def run_cli(args, tmp_path, content=None, capsys=None):
 
 Z2_REDUNDANT = "# comment line\n2 3\n1 0\n0 1\n1 1\n"
 DIAG = "2 2\n1 0\n0 2\n"
+Z2 = "2 2\n1 0\n0 1\n"
 GCD = "1 2\n4\n6\n"
 # 2Z^5 glued by (1,1,1,1,1), of norm 5: the vectors of squared norm at most
 # 4 span it but generate only the index-2 sublattice 2Z^5.
@@ -861,6 +866,34 @@ class TestDecomposeCommand:
                        tmp_path, content)
         assert code == EXIT_BOUND
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("content, bound_sq, inserts", [
+        (GLUE5, "4", 5),                        # full rank, index 2
+        ("2 2\n1 0\n1/2 1\n", "1", 1),        # the same squared volume
+        ("2 2\n1 0\n1/2 7/2\n", "4", 2),      # no integer target
+        (Z2, "2", 2),                           # stops after (0, -1)
+    ], ids=["same-rank", "same-volume", "no-integer-target", "stops"])
+    def test_scan_stops_only_at_the_input_lattice(
+            self, content, bound_sq, inserts, tmp_path, capsys, monkeypatch):
+        """The scan inserts each enumerated row below zero until its
+        lattice is the input's: where the set does not generate it, that is
+        every such row (half the set, as the error line counts it) and the
+        exit is 4; on Z^2 at bound 2 it is the first two of four."""
+        rows = []
+        original = IncrementalLattice.insert
+        monkeypatch.setattr(IncrementalLattice, "insert",
+                            lambda self, row: rows.append(row)
+                            or original(self, row))
+        code = run_cli(["decompose", "FILE", "--bound-sq", bound_sq],
+                       tmp_path, content)
+        err = capsys.readouterr().err
+        assert len(rows) == inserts
+        if code == EXIT_OK:
+            assert content == Z2
+            assert rows == [(-1, 0), (0, -1)]
+            return
+        assert code == EXIT_BOUND
+        assert f"the {2 * inserts} enumerated vectors" in err
 
 
 # Blocks of the orthogonal sums below: scaled copies of Z, Gauss-reduced

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latkit import (
@@ -19,6 +19,7 @@ from latkit import (
     volume_sq,
 )
 from latkit.enumeration import EnumerationRequest
+from latkit.reduction import IncrementalLattice
 
 from conftest import (
     d4_basis,
@@ -260,3 +261,88 @@ def test_duplicates_and_zeros_leave_the_decomposition_unchanged(case, data):
     padded = GeneratingSet(list(s.vectors) + extra, s.bound_sq,
                            complete=True)
     assert orthogonal_decomposition(padded) == orthogonal_decomposition(s)
+
+
+# The scan's stop at L (``orthogonal_decomposition(..., lattice=L)``).
+# Rescalings of the lattice, and how far below the block bound to
+# enumerate: below it the set may generate a proper sublattice of L (or one
+# of lower rank), and then no stop may come.
+SCALES = st.sampled_from([F(1), F(1, 2), F(2, 3), F(3)])
+BOUND_FACTORS = st.sampled_from([F(1), F(3, 4), F(1, 2)])
+JOINS_TWO = (LatticeBasis([(2, 0, 0), (0, 2, 0), (1, 1, 2)]), 6)
+# Sets that do not generate L at this bound: 2Z^5 glued by (1, 1, 1, 1, 1),
+# of full rank and index 2 (at bound 5 the glue vectors come in after the
+# scan has full rank, and join its five components into one); a set of
+# lower rank with L's volume; and one over scale 1 in an L whose squared
+# volume, 49/4, gives no integer target.
+NOT_GENERATING = [
+    (LatticeBasis([(2, 0, 0, 0, 0), (0, 2, 0, 0, 0), (0, 0, 2, 0, 0),
+                   (0, 0, 0, 2, 0), (1, 1, 1, 1, 1)]), 4),
+    (LatticeBasis([(1, 0), (F(1, 2), 1)]), 1),
+    (LatticeBasis([(1, 0), (F(1, 2), F(7, 2))]), 4),
+]
+
+
+def _lattice_and_set(case, c, t, pad):
+    """The lattice of ``case`` times ``c``, in one more dimension when
+    ``pad`` (rank below the dimension), and its complete set up to ``t``
+    times the block bound, rescaled."""
+    basis, bound = case
+    lattice = LatticeBasis([[c * x for x in v] + [0] * pad
+                            for v in basis.vectors])
+    return lattice, complete_set(lattice, c * c * t * bound)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scrambled_block_lattices(), SCALES, BOUND_FACTORS, st.booleans())
+@example(JOINS_TWO, F(1), F(1), False)
+@example(JOINS_TWO, F(1, 2), F(1), True)
+@example(NOT_GENERATING[2], F(1), F(1), False)
+@example((NOT_GENERATING[0][0], 5), F(1), F(1), False)
+def test_stop_at_l_leaves_the_decomposition_as_it_is(case, c, t, pad):
+    """With ``lattice=`` given as a basis or as an engine, the
+    decomposition equals the one without it, component for component, on
+    sets that generate L and on sets that do not."""
+    lattice, s = _lattice_and_set(case, c, t, pad)
+    assume(s.rows)
+    want = orthogonal_decomposition(s, check_invariants=True)
+    engine = IncrementalLattice.from_generators(lattice.vectors)
+    for given_lattice in (lattice, engine):
+        assert orthogonal_decomposition(
+            s, check_invariants=True, lattice=given_lattice) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(scrambled_block_lattices(), SCALES, BOUND_FACTORS, st.booleans())
+@example(JOINS_TWO, F(1), F(1), True)
+@example(NOT_GENERATING[0], F(1), F(1), False)
+@example(NOT_GENERATING[1], F(1), F(1), False)
+@example(NOT_GENERATING[2], F(1), F(1), False)
+@example((NOT_GENERATING[0][0], 5), F(1), F(1), True)
+def test_no_insert_after_the_stop(case, c, t, pad):
+    """Where the set generates L (the HNF oracle decides it), the scan's
+    last insert is the first one after which its lattice is L; where it
+    does not, that never happens and every row below zero is inserted."""
+    lattice, s = _lattice_and_set(case, c, t, pad)
+    assume(s.rows)
+    # After each insert: is the scan's lattice L?  Only the scan calls
+    # insert; the merge feeds its engines through extend.
+    reached = []
+    original = IncrementalLattice.insert
+
+    def insert(self, row):
+        was_update = original(self, row)
+        reached.append(self.rank == lattice.rank
+                       and self.volume_sq == lattice.volume_sq)
+        return was_update
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(IncrementalLattice, "insert", insert)
+        orthogonal_decomposition(s, lattice=lattice)
+    if lattice_equal(s, lattice):
+        assert reached.index(True) == len(reached) - 1
+    else:
+        zero = (0,) * lattice.dim
+        assert not any(reached)
+        assert len(reached) == sum(r < zero for r in s.rows)
+

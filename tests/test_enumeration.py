@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from latkit import (
     EnumerationCapExceeded,
     EnumerationRequest,
+    GeneratingSet,
     LatticeBasis,
     enumerate_up_to,
     first_minimum_sq,
@@ -180,6 +181,54 @@ def test_matches_frozen_enumerator_and_box_oracle(case, on_engine):
         assert got == want
         assert got.rows == want.rows
         assert got.scale == want.scale
+
+
+@st.composite
+def bases_below_their_dimension(draw):
+    """A basis of rank 1 to 4 in dimension rank + 1 or rank + 2, of
+    integer rows with entries of at most 3 over a scale of 1, 2 or 6, and a
+    squared norm bound from a quarter to three times the largest squared
+    norm of the basis reduced by the frozen rational MLLL."""
+    n = draw(st.integers(1, 4))
+    dim = n + draw(st.integers(1, 2))
+    k = draw(st.sampled_from([1, 2, 6]))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim),
+                         min_size=n, max_size=n))
+    vectors = [[F(c, k) for c in r] for r in rows]
+    try:
+        basis = LatticeBasis(vectors)
+    except ValueError:
+        assume(False)
+    top = max(norm_sq(v) for v in reference_mlll(vectors).vectors)
+    return basis, draw(st.integers(1, 12)) * top / 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(bases_below_their_dimension(), st.booleans())
+def test_leaf_norms_sort_as_from_rows(case, on_engine):
+    """The enumerator sorts its rows by the squared norms its leaves work
+    out, and hands them on unchecked; the result equals
+    ``GeneratingSet.from_rows``, which checks them and sorts by ``_idot``,
+    on the frozen enumerator's rows, and the cap raises at exactly the same
+    count."""
+    basis, bound_sq = case
+    reference = reference_enumerate_up_to(EnumerationRequest(basis, bound_sq))
+    want = GeneratingSet.from_rows(reference.rows, reference.scale, bound_sq,
+                                   complete=True)
+    given_basis = IncrementalLattice.from_generators(basis.vectors) \
+        if on_engine else basis
+    total = len(want.rows)
+    for cap in (total - 1, total, total + 1):
+        if cap < 0:
+            continue
+        req = EnumerationRequest(given_basis, bound_sq, cap)
+        if total > cap:
+            with pytest.raises(EnumerationCapExceeded):
+                enumerate_up_to(req)
+            continue
+        got = enumerate_up_to(req)
+        assert (got.rows, got.scale, got.bound_sq, got.complete) == \
+            (want.rows, want.scale, want.bound_sq, True)
 
 
 @settings(max_examples=150, deadline=None)
