@@ -22,12 +22,11 @@ import gc
 import itertools
 import math
 import os
-import random
 import re
 import sys
 import time
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 # The builtin SHA-256 module, as ``random`` takes its SHA-512: ``hashlib``
 # loads OpenSSL, several MB of resident memory for one digest per call.
@@ -148,7 +147,7 @@ def parse_lattice_file(text: str) -> tuple[int, int, list[tuple]]:
     call appends the row tuple read then, with no token work; the header
     line is never reused, and the row count is checked on every line.
     Nothing is kept between calls."""
-    header: Optional[tuple[int, int]] = None
+    header: tuple[int, int] | None = None
     header_line = 1
     rows: list[tuple] = []
     read: dict[str, tuple] = {}     # data line text -> its row
@@ -393,6 +392,7 @@ def random_instance(rng: random.Random, d: int, m: int, entry_range: int,
 
 def bench_row(seed: int, d: int, m: int, entry_range: int,
               duplicates: bool, params: ReductionParams) -> dict:
+    import random       # only bench draws instances: not at start-up
     rng = random.Random(seed)
     gens = random_instance(rng, d, m, entry_range, duplicates)
     # Time with the garbage collector paused, as timeit does: a full
@@ -513,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     """Run one command; the one place where a failure becomes an exit code
     and a line on stderr.
 

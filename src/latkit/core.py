@@ -17,11 +17,10 @@ on the integer rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain
-from operator import mul, neg
-from typing import Iterable, Optional, Sequence
+from operator import attrgetter, mul, neg
 
 Vector = tuple[Fraction, ...]
 
@@ -53,8 +52,43 @@ def _det_bareiss_int(m: list[list[int]]) -> int:
     return m[n - 1][n - 1]
 
 
-@dataclass(frozen=True, slots=True)
-class LatticeBasis:
+class _Value:
+    """Base of the immutable value types, which name their fields in
+    ``__slots__``.  It gives what ``@dataclass(frozen=True)`` gave them:
+    equality within one class, hash and repr on the fields, and
+    ``FrozenInstanceError``; copy and pickle set the fields back as the
+    constructors set them, through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.__slots__)    # a bare value for one field
+        astuple = get if len(cls.__slots__) > 1 else lambda x: (get(x),)
+
+        def __eq__(self, other):    # closures: no per-call lookup of get
+            if other.__class__ is self.__class__:
+                return get(self) == get(other)
+            return NotImplemented
+        cls.__eq__, cls.__hash__ = __eq__, lambda self: hash(astuple(self))
+        cls.__getstate__ = lambda self: astuple(self)
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self.__slots__, self.__getstate__())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value, verb="assign to"):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+    def __delattr__(self, name):
+        self.__setattr__(name, None, "delete")
+
+    def __setstate__(self, state):
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+
+class LatticeBasis(_Value):
     """Ordered linearly independent vectors with their squared volume (the
     Gram determinant), computed once: by the independence check, or by the
     MLLL engine that hands its output to ``_trusted``.
@@ -65,12 +99,13 @@ class LatticeBasis:
     rows (``integerize`` of the input): the Gram determinant ``D`` of the
     rows is taken fraction-free, and ``volume_sq = D / scale^(2n)``."""
 
+    __slots__ = ("rows", "scale", "volume_sq", "dim")
     rows: tuple[tuple[int, ...], ...]
     scale: int
     volume_sq: Fraction
     dim: int
 
-    def __init__(self, vectors: Iterable, dim: Optional[int] = None):
+    def __init__(self, vectors: Iterable, dim: int | None = None):
         rows, scale = integerize(vectors)
         if rows:
             if dim is not None and dim != len(rows[0]):
@@ -106,8 +141,7 @@ class LatticeBasis:
         return f"LatticeBasis({list(self.vectors)!r})"
 
 
-@dataclass(frozen=True)
-class GeneratingSet:
+class GeneratingSet(_Value):
     """Multiset of nonzero lattice vectors with a squared norm bound, kept
     in nondecreasing squared norm with lexicographic ties, whatever the
     input order; zero vectors are dropped, and vectors of different lengths
@@ -123,10 +157,11 @@ class GeneratingSet:
     ``rows`` and ``scale`` are those on the vectors.
     """
 
+    __slots__ = ("rows", "scale", "bound_sq", "complete")
     rows: tuple[tuple[int, ...], ...]
     scale: int
     bound_sq: Fraction
-    complete: bool = False
+    complete: bool
 
     def __init__(self, vectors, bound_sq, complete=False):
         rows, scale = integerize(vectors)

@@ -18,21 +18,23 @@ first at that vector (Kneser), so neither route sorts them.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .core import (GeneratingSet, LatticeBasis, Vector, _complete_rows,
-                   _hnf_basis, _idot)
+                   _hnf_basis, _idot, _Value)
 from .reduction import (DEFAULT_PARAMS, IncrementalLattice, ReductionParams,
                         _scan)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Value):
     """The ``r`` pairwise-orthogonal indecomposable summands, in increasing
     (squared norm, lexicographic) order of their least nonzero vectors;
     ``indices`` are their 1-based start offsets (ranks summed)."""
+    __slots__ = ("components",)
     components: tuple[LatticeBasis, ...]
+
+    def __init__(self, components):
+        object.__setattr__(self, "components", components)
 
     @property
     def r(self) -> int:

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, neg
 
-from .core import GeneratingSet, LatticeBasis, _idot
+from .core import GeneratingSet, LatticeBasis, _idot, _Value
 from .reduction import IncrementalLattice
 
 DEFAULT_CAP = 10**6
@@ -43,21 +42,23 @@ class EnumerationCapExceeded(RuntimeError):
         super().__init__(f"enumeration exceeded the cap of {cap} vectors")
 
 
-@dataclass(frozen=True)
-class EnumerationRequest:
+class EnumerationRequest(_Value):
     """The lattice to search, as a ``LatticeBasis`` or as an engine that
     already holds its reduced basis (``IncrementalLattice``), and the
     squared norm bound; at most ``cap`` vectors may be found."""
 
+    __slots__ = ("basis", "bound_sq", "cap")
     basis: LatticeBasis | IncrementalLattice
     bound_sq: Fraction
-    cap: int = DEFAULT_CAP
+    cap: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "bound_sq", Fraction(self.bound_sq))
+    def __init__(self, basis, bound_sq, cap=DEFAULT_CAP):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "bound_sq", Fraction(bound_sq))
+        object.__setattr__(self, "cap", cap)
         if self.bound_sq <= 0:
             raise ValueError("bound_sq must be positive")
-        if self.basis.rank < 1:
+        if basis.rank < 1:
             raise ValueError("basis must have rank at least 1")
 
 

@@ -12,32 +12,39 @@ records are read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
-from .core import LatticeBasis, _idot, integerize
+from .core import LatticeBasis, _idot, _Value, integerize
 from .enumeration import DEFAULT_CAP, first_minimum_sq
 from .reduction import DEFAULT_PARAMS, IncrementalLattice, ReductionParams
 
 
-@dataclass(frozen=True)
-class InsertionRecord:
+class InsertionRecord(_Value):
+    __slots__ = ("index", "was_update", "rank_after", "volume_sq_after")
     index: int           # position in the original generator sequence
     was_update: bool
     rank_after: int
     volume_sq_after: Fraction
 
+    def __init__(self, index, was_update, rank_after, volume_sq_after):
+        self.__setstate__((index, was_update, rank_after, volume_sq_after))
 
-@dataclass(frozen=True)
-class UpdateTrace:
+
+class UpdateTrace(_Value):
     """The insertions of one construction: ``steps`` holds, for each,
     ``(index, was_update, rank_after, d)``, with ``d`` the engine's Gram
     determinant of its rows over ``scale`` after the insertion."""
 
+    __slots__ = ("steps", "scale", "swaps")
     steps: tuple[tuple[int, bool, int, int], ...]
     scale: int
     swaps: int           # MLLL swaps over all updates
+
+    def __init__(self, steps, scale, swaps):
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "swaps", swaps)
 
     @property
     def update_count(self) -> int:

@@ -12,9 +12,8 @@ witnesses as the set's integer rows, over its scale, up to the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .core import (
     GeneratingSet,
@@ -23,13 +22,13 @@ from .core import (
     _complete_rows,
     _idot,
     _set_rows,
+    _Value,
     integerize,
 )
 from .reduction import _scan
 
 
-@dataclass(frozen=True)
-class MinimaResult:
+class MinimaResult(_Value):
     """Squared successive minima, their witnesses, and the rank reached;
     ``partial`` when the bound was too small to reach every minimum.
 
@@ -39,11 +38,12 @@ class MinimaResult:
     hashing on ``rows`` and ``scale`` are those on the witnesses.
     """
 
+    __slots__ = ("minima_sq", "rows", "scale", "rank", "partial")
     minima_sq: tuple[Fraction, ...]
     rows: tuple[tuple[int, ...], ...]
     scale: int
     rank: int
-    partial: bool = False
+    partial: bool
 
     def __init__(self, minima_sq, witnesses, rank, partial=False):
         _set_rows(self, *integerize(witnesses), minima_sq=tuple(minima_sq),
@@ -63,7 +63,7 @@ class MinimaResult:
 
 
 def successive_minima(s: GeneratingSet,
-                      expected_rank: Optional[int] = None) -> MinimaResult:
+                      expected_rank: int | None = None) -> MinimaResult:
     """Squared successive minima (and witnesses) of the lattice generated by
     the complete set ``s``.
 

@@ -24,21 +24,21 @@ member; the lattice only grows, so this stays true.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
 
-from .core import LatticeBasis, _column_hnf, _complete_rows, _idot, integerize
+from .core import (LatticeBasis, _column_hnf, _complete_rows, _idot, _Value,
+                   integerize)
 
 
-@dataclass(frozen=True)
-class ReductionParams:
+class ReductionParams(_Value):
     """Lovász parameter for the reduction; classical default 3/4."""
 
-    delta: Fraction = Fraction(3, 4)
+    __slots__ = ("delta",)
+    delta: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "delta", Fraction(self.delta))
+    def __init__(self, delta=Fraction(3, 4)):
+        object.__setattr__(self, "delta", Fraction(delta))
         if not Fraction(1, 4) < self.delta <= 1:
             raise ValueError("delta must satisfy 1/4 < delta <= 1")
 

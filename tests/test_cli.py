@@ -1113,6 +1113,26 @@ class TestEntryPoint:
             pytest.skip("this interpreter has no builtin SHA-256 module")
         assert loaded == "False"
 
+    def test_start_up_leaves_heavy_modules_unloaded(self):
+        """Importing ``latkit.cli`` generates no code and loads none of
+        ``dataclasses``, ``inspect``, ``typing`` and ``random``; ``bench``,
+        the one command that draws instances, loads ``random`` when it
+        runs.  ``-S`` keeps out what ``site`` loads first."""
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import latkit.cli; "
+                "print([m for m in ('dataclasses', 'inspect', 'typing', "
+                "'random') if m in sys.modules]); "
+                "code = latkit.cli.main(['bench', '--dims', '2', "
+                "'--gen-counts', '4', '--reps', '1']); "
+                "print(code, 'random' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stderr == ""
+        loaded, header, _, ran = proc.stdout.splitlines()
+        assert loaded == "[]"
+        assert header.startswith("seed,d,m,")
+        assert ran == f"{EXIT_OK} True"
+
     def test_loads_only_the_standard_library(self):
         """Importing ``latkit.cli`` and running a verified ``decompose``
         loads no module from outside the standard library and ``latkit``

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latkit import (
+    UpdateTrace,
     first_minimum_sq,
     generating_subset,
     incremental_basis,
@@ -151,7 +151,8 @@ class TestUpdateStepBoundOnStaircases:
         assert trace.update_count == 4
         assert update_step_bound_value(1, 64, 1) == 4.0
         assert update_step_bound_holds(trace, 1, 64, 1)
-        one_more = replace(trace, steps=trace.steps + ((4, True, 1, 1),))
+        one_more = UpdateTrace(trace.steps + ((4, True, 1, 1),), trace.scale,
+                               trace.swaps)
         assert one_more.update_count == 5
         assert not update_step_bound_holds(one_more, 1, 64, 1)
 
