@@ -5,11 +5,15 @@ bounded (independently of m) while batch reduction has to chew through all
 m vectors: each one in the span of the rows before it rebuilds the batch
 engine, from a Hermite normal form, or, once the rows have full rank and
 the new determinant comes out 1, by taking the state of Z^dim directly
-after the row's Gram-Schmidt row.  Incremental localization answers a row
-of Z^dim with no arithmetic at all, so the gap shows in time and grows with
-m.  MLLL swaps (a count that does not depend on the machine) stay few on
-both sides, since a rebuild starts from the HNF's independent rows or from
-the unit rows.
+after the row's Gram-Schmidt row.  The incremental construction does
+neither for a member: it answers a row of Z^dim with no arithmetic at all,
+and at full rank, once an update leaves a determinant above 1, it locates
+each row against the lattice's Hermite normal form by back-substitution,
+keeps the HNF through the updates and reduces it once at the end.  So the
+gap shows in time and grows with m.  MLLL swaps (a count that does not
+depend on the machine) stay few on both sides, since a reduction starts
+from the HNF's independent rows or from the unit rows; the incremental
+count holds only the swaps it ran, with no rebuild per full-rank update.
 """
 
 from latkit.cli import bench_row

@@ -319,6 +319,30 @@ def _column_hnf(rows: Sequence) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, reversed(rows[:r0])))
 
 
+def _det_with(det: int, v: Sequence[int], m: Sequence[Sequence[int]],
+              pivots: Sequence[int]) -> int:
+    """The determinant ``gcd(det, t)`` of a full-rank lattice of
+    determinant ``det`` with a vector of its span added, ``t = det x`` for
+    the vector's coordinates ``x`` (Cramer): the integer solution of ``t_j
+    pivots_j = det v_j - sum_{i>j} t_i m_ij``, found from the last column
+    in exact divisions and stopped once the gcd is 1.  On a full-rank
+    ``_column_hnf`` ``h``: ``m = h``, ``v`` the row and ``h``'s diagonal as
+    ``pivots``; on the engine: ``m = lambda``, the lambda-row, ``d_1..d_n``.
+    """
+    n = len(pivots)
+    t = [0] * n
+    g = det
+    for j in range(n - 1, -1, -1):
+        u = det * v[j]
+        for i in range(j + 1, n):
+            u -= t[i] * m[i][j]
+        t[j] = u // pivots[j]
+        g = math.gcd(g, t[j])
+        if g == 1:
+            break
+    return g
+
+
 def _hnf_basis(rows: Sequence, scale: int) -> tuple[Vector, ...]:
     """Canonical basis of the lattice of integer rows over ``scale``: their
     HNF, as ``Fraction`` vectors.  As hnf(kL) = k hnf(L), it depends only

@@ -3,10 +3,11 @@
 Each generator is first located (membership test against the lattice built
 so far); only generators outside it trigger an update, which resumes the
 integral MLLL loop of ``IncrementalLattice`` from the new vector instead of
-reducing everything again.  The trace records enough to check the
-update-step bound u <= d + log2(d! (B/lambda_1)^d) exactly in its squared
-form: each insertion as ints, its ``Fraction`` volume formed only when the
-records are read.
+reducing everything again; at full rank the updates run on the lattice's
+Hermite normal form, reduced once at the end.  The trace records enough to
+check the update-step bound u <= d + log2(d! (B/lambda_1)^d) exactly in its
+squared form: each insertion as ints, its ``Fraction`` volume formed only
+when the records are read.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .core import LatticeBasis, _idot, _Value, integerize
+from .core import (LatticeBasis, _column_hnf, _det_with, _idot, _Value,
+                   integerize)
 from .enumeration import DEFAULT_CAP, first_minimum_sq
 from .reduction import DEFAULT_PARAMS, IncrementalLattice, ReductionParams
 
@@ -33,13 +35,15 @@ class InsertionRecord(_Value):
 
 class UpdateTrace(_Value):
     """The insertions of one construction: ``steps`` holds, for each,
-    ``(index, was_update, rank_after, d)``, with ``d`` the engine's Gram
-    determinant of its rows over ``scale`` after the insertion."""
+    ``(index, was_update, rank_after, d)``, with ``d`` the Gram determinant
+    of the lattice's basis rows over ``scale`` after the insertion.
+    ``swaps`` counts the MLLL swaps the construction ran: at full rank it
+    locates against the lattice's HNF and reduces once, at the end."""
 
     __slots__ = ("steps", "scale", "swaps")
     steps: tuple[tuple[int, bool, int, int], ...]
     scale: int
-    swaps: int           # MLLL swaps over all updates
+    swaps: int           # MLLL swaps the construction ran
 
     def __init__(self, steps, scale, swaps):
         object.__setattr__(self, "steps", steps)
@@ -74,10 +78,19 @@ def incremental_basis(generators: Sequence, params: ReductionParams =
     of first appearance; only the distinct ones are integerized, and each
     nonzero one is inserted once: the lattice only grows, so a repeat needs
     no ``insert``.  Nothing is kept between calls.
+
+    From the first full-rank update that leaves a determinant above 1, the
+    engine is set aside: its lattice's HNF ``h`` is kept, a row is located
+    against it by ``_det_with``, and an update takes the HNF of ``h`` and
+    the row (or the engine's ``Z^dim`` state).  The engine is rebuilt from
+    ``h`` at the end, as ``insert`` would have rebuilt it at each update,
+    so only the swaps of the skipped rebuilds are saved.
     """
     slots: dict[tuple, int] = {}
     order = [slots.setdefault(tuple(g), len(slots)) for g in generators]
     lattice, rows = IncrementalLattice.over(slots, params)
+    dim = lattice.dim
+    h = None                # the lattice's HNF while the engine is set aside
     steps = []
     for i, s in enumerate(order):
         row = rows[s]
@@ -87,9 +100,25 @@ def incremental_basis(generators: Sequence, params: ReductionParams =
             continue
         else:
             rows[s] = None
-            was_update = lattice.insert(row)
+            if h:
+                g = _det_with(det, row, h, [r[j] for j, r in enumerate(h)])
+                was_update = g < det
+                if g == 1:
+                    lattice._take_z_dim()
+                    h = None
+                elif was_update:
+                    h, det = _column_hnf([*h, row]), g
+            elif lattice.rank < dim or lattice.d[dim] == 1:
+                was_update = lattice.insert(row)
+            else:
+                lam_row, _ = lattice._gram_schmidt_row(row)
+                was_update = not lattice._reduces_to_zero(lam_row)
+                if was_update:
+                    det, h = lattice._full_rank_update(row, lam_row)
         r = lattice.rank
-        steps.append((i, was_update, r, lattice.d[r]))
+        steps.append((i, was_update, r, det * det if h else lattice.d[r]))
+    if h:
+        lattice._rebuild(h)
     return lattice.basis(), UpdateTrace(tuple(steps), lattice.scale,
                                         lattice.swaps)
 

@@ -112,12 +112,15 @@ def minkowski_check(basis: LatticeBasis, result: MinimaResult,
         2^d/d! vol L  <=  lambda_1 ... lambda_d vol B_d  <=  2^d vol L
 
     evaluated in floating point within ``rel_tol``, on logarithms so that
-    no quantity overflows a float.
+    no quantity overflows a float.  At rank 1 the two bounds meet (``vol
+    B_1 = 2``), so the check is ``lambda_1^2 == vol^2 L``, exact.
     """
     d = basis.rank
     if result.rank != d:
         raise ValueError(
             f"rank mismatch: basis rank {d}, {result.rank} minima")
+    if d == 1:
+        return result.minima_sq[0] == basis.volume_sq
 
     def log_sqrt(x: Fraction) -> float:
         return (math.log(x.numerator) - math.log(x.denominator)) / 2

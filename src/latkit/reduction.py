@@ -27,8 +27,8 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
-from .core import (LatticeBasis, _column_hnf, _complete_rows, _idot, _Value,
-                   integerize)
+from .core import (LatticeBasis, _column_hnf, _complete_rows, _det_with,
+                   _idot, _Value, integerize)
 
 
 class ReductionParams(_Value):
@@ -180,6 +180,32 @@ class IncrementalLattice:
                     r[i] -= q * ll[i]
         return True
 
+    def _full_rank_update(self, row: Sequence[int], lam_row: list[int]
+                          ) -> tuple[int, tuple | None]:
+        """The lattice of the rows and ``row``, a row in their span, at rank
+        ``dim``: its determinant, from the row's lambda-row by ``_det_with``,
+        and its HNF; or ``(1, None)`` when it is ``Z^dim``, whose state
+        (that of ``extend`` over the identity) the engine takes, no HNF."""
+        rows, d = self.rows, self.d
+        g = _det_with(math.isqrt(d[-1]), lam_row, self.lam, d[1:])
+        if g > 1:
+            return g, _column_hnf([*rows, row])
+        self._take_z_dim()
+        return 1, None
+
+    def _take_z_dim(self) -> None:
+        """Unit rows, every ``d_i`` 1 and ``lambda`` 0, with no swap."""
+        n = self.dim
+        self.rows[:] = [tuple(int(i == j) for i in range(n))
+                        for j in range(n)]
+        self.lam[:] = [[0] * j for j in range(n)]
+        self.d[1:] = [1] * n
+
+    def _rebuild(self, hnf: Iterable[Sequence[int]]) -> None:
+        """``extend`` over the rows of ``hnf`` from empty."""
+        del self.rows[:], self.lam[:], self.d[1:]
+        self.extend(hnf)
+
     # -- the MLLL loop --------------------------------------------------
     def _add(self, row: Sequence[int], lam_row: list[int], dn: int) -> None:
         """Append b_n and run the swap loop from k = n until the basis is
@@ -189,38 +215,14 @@ class IncrementalLattice:
         ``extend`` over the ``_column_hnf`` of its rows and that row, which
         are independent.  That HNF routine is the ``lattice_equal`` oracle's
         too, so the tests check every rebuild against ``reference_hnf``.
-
-        At rank ``dim``, with ``D = isqrt(d_dim)`` the determinant of the
-        rows, ``t = D x`` for the row's coordinates ``x`` in the rows is an
-        integer vector (Cramer), taken from the top slot down by ``t_l = (D
-        lambda_vl - sum_{i>l} t_i lambda_il) / d_{l+1}``, an exact division.
-        The new lattice has determinant ``gcd(D, t)``; as soon as the running
-        gcd is 1 it is ``Z^dim``, and the engine takes the identity state
-        that ``extend`` of its HNF would leave, with no HNF."""
+        At rank ``dim`` the rebuild is ``_full_rank_update``'s."""
         rows, d, lam = self.rows, self.d, self.lam
         n = len(rows)
         if dn == 0:
-            if n == self.dim:
-                # The new determinant gcd(D, t), stopped once it is 1.
-                det = g = math.isqrt(d[n])
-                t = [0] * n
-                for l in range(n - 1, -1, -1):
-                    if g == 1:
-                        break
-                    u = det * lam_row[l]
-                    for i in range(l + 1, n):
-                        u -= t[i] * lam[i][l]
-                    t[l] = u // d[l + 1]
-                    g = math.gcd(g, t[l])
-                if g == 1:
-                    rows[:] = [tuple(int(i == j) for i in range(n))
-                               for j in range(n)]
-                    lam[:] = [[0] * j for j in range(n)]
-                    d[1:] = [1] * n
-                    return
-            hnf = _column_hnf([*rows, row])
-            del rows[:], lam[:], d[1:]
-            self.extend(hnf)
+            hnf = (self._full_rank_update(row, lam_row)[1] if n == self.dim
+                   else _column_hnf([*rows, row]))
+            if hnf:
+                self._rebuild(hnf)
             return
         rows.append(row)
         lam.append(lam_row)

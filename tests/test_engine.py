@@ -559,10 +559,12 @@ def test_swap_loop_equals_frozen_loop_state_for_state(family, params, data):
 
 
 @pytest.mark.parametrize("seed, d, m, duplicates, delta, counts", [
-    (0, 4, 50, False, F(3, 4), (6, 8, 8)),
+    # No rebuild at determinant 9 before the update to Z^4: 8 -> 3 swaps.
+    (0, 4, 50, False, F(3, 4), (6, 3, 8)),
     (1, 6, 30, False, F(3, 4), (7, 7, 7)),
     (2, 5, 60, True, F(3, 4), (6, 8, 33)),
-    (3, 4, 40, False, F(99, 100), (6, 13, 13)),
+    # No rebuild at determinant 3 before the update to Z^4: 13 -> 10 swaps.
+    (3, 4, 40, False, F(99, 100), (6, 10, 13)),
 ])
 def test_bench_row_update_and_swap_counts(seed, d, m, duplicates, delta,
                                           counts):

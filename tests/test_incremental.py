@@ -4,10 +4,12 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latkit import (
+    LatticeBasis,
+    ReductionParams,
     UpdateTrace,
     first_minimum_sq,
     generating_subset,
@@ -20,8 +22,13 @@ from latkit import (
 )
 
 from conftest import d4_basis
+from latkit.core import _column_hnf, _det_with
 from latkit.enumeration import EnumerationRequest, enumerate_up_to
-from test_engine import count_gram_schmidt_rows
+from latkit.reduction import IncrementalLattice
+from reference_hnf import reference_hnf
+from reference_linalg import reference_det_bareiss_int, reference_is_member
+from test_engine import (count_gram_schmidt_rows, generator_families,
+                         params_st)
 
 
 def dyadic_staircase(d, k):
@@ -224,3 +231,127 @@ class TestGeneratingSubset:
             subset = generating_subset(gens, trace)
             assert len(subset) == trace.update_count
             assert lattice_equal(subset, gens)
+
+
+def engine_loop(gens, params=ReductionParams()):
+    """The construction with every update through the engine: ``insert``
+    of each distinct nonzero generator in order, a repeat recorded at the
+    engine's state.  Its basis, its swaps and its steps."""
+    slots = {}
+    order = [slots.setdefault(tuple(g), len(slots)) for g in gens]
+    lattice, rows = IncrementalLattice.over(slots, params)
+    seen, steps = set(), []
+    for i, s in enumerate(order):
+        if not any(rows[s]):
+            continue
+        was_update = s not in seen and lattice.insert(rows[s])
+        seen.add(s)
+        steps.append((i, was_update, lattice.rank, lattice.d[lattice.rank]))
+    return lattice.basis(), lattice.swaps, tuple(steps)
+
+
+PRIMES = [2, 3, 5, 7]
+
+
+@st.composite
+def index_staircases(draw):
+    """Full-rank families whose determinant falls in steps: a diagonal
+    lattice with prime products on its diagonal, then rows that each
+    divide one prime out of one coordinate (plus a drawn lattice vector),
+    with members between them, all of it over a drawn denominator.  The
+    drops may stop short of ``Z^d``; some families are a shuffled dyadic
+    staircase instead."""
+    d = draw(st.integers(1, 4))
+    den = draw(st.sampled_from([1, 2, 3]))
+    if draw(st.integers(0, 3)) == 0:
+        gens = draw(st.permutations(dyadic_staircase(d, draw(
+            st.integers(1, 3)))))
+        return d, [tuple(F(c, den) for c in g) for g in gens]
+    diag = [draw(st.lists(st.sampled_from(PRIMES), min_size=0, max_size=3))
+            for _ in range(d)]
+    m = [math.prod(ps) for ps in diag]
+    coeffs = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+
+    def member():
+        return [k * mc for k, mc in zip(draw(coeffs), m)]
+
+    gens = [tuple(mc * (i == c) for i in range(d)) for c, mc in enumerate(m)]
+    drops = draw(st.permutations([(c, p) for c, ps in enumerate(diag)
+                                  for p in ps]))
+    drops = drops[:draw(st.integers(0, len(drops)))]
+    for c, p in drops:
+        for _ in range(draw(st.integers(0, 2))):
+            gens.append(tuple(member()))
+        m[c] //= p
+        row = member() if draw(st.booleans()) else [0] * d
+        row[c] += m[c]
+        gens.append(tuple(row))
+    gens += [tuple(member()) for _ in range(draw(st.integers(0, 2)))]
+    return d, [tuple(F(c, den) for c in g) for g in gens]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(generator_families(), index_staircases()), params_st)
+def test_incremental_basis_equals_the_engine_loop(family, params):
+    # Setting the engine aside at full rank leaves the basis and the steps
+    # of a loop that inserts every distinct generator into the engine, and
+    # saves swaps only.
+    _, gens = family
+    basis, trace = incremental_basis(gens, params)
+    want, swaps, steps = engine_loop(gens, params)
+    assert (basis.rows, basis.scale, basis.volume_sq) == \
+        (want.rows, want.scale, want.volume_sq)
+    assert trace.steps == steps
+    assert trace.swaps <= swaps
+
+
+def count_rebuilds(monkeypatch):
+    """The HNFs the engine is rebuilt from, from now on."""
+    calls = []
+    rebuild = IncrementalLattice._rebuild
+    monkeypatch.setattr(
+        IncrementalLattice, "_rebuild",
+        lambda self, hnf: calls.append(hnf) or rebuild(self, hnf))
+    return calls
+
+
+def test_full_rank_updates_rebuild_the_engine_once(monkeypatch):
+    # 60Z x Z loses 2, 3 and 5 in three updates, with a member between
+    # them: the engine loop rebuilds at each update, incremental_basis
+    # once at the end, from the HNF of 2Z x Z.
+    gens = [(60, 0), (0, 1), (30, 0), (90, 7), (10, 4), (2, 0)]
+    rebuilds = count_rebuilds(monkeypatch)
+    want, _, steps = engine_loop(gens)
+    assert len(rebuilds) == 3
+    rebuilds.clear()
+    basis, trace = incremental_basis(gens)
+    assert rebuilds == [((2, 0), (0, 1))]
+    assert [(u, d) for _, u, _, d in trace.steps] == \
+        [(True, 3600), (True, 3600), (True, 900), (False, 900),
+         (True, 100), (True, 4)]
+    assert trace.steps == steps
+    assert basis == want
+
+
+@st.composite
+def hnfs_and_rows(draw):
+    """The HNF of ``d`` independent integer rows, and an integer row."""
+    d = draw(st.integers(1, 4))
+    row = st.tuples(*[st.integers(-6, 6)] * d)
+    rows = draw(st.lists(row, min_size=d, max_size=d))
+    assume(reference_det_bareiss_int([list(r) for r in rows]))
+    return _column_hnf(rows), draw(row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnfs_and_rows())
+def test_det_with_equals_reference_hnf(case):
+    # The determinant of h and the row is the product of the frozen HNF's
+    # pivots, and it is det(h) exactly when the frozen solve finds the row
+    # a member.
+    h, row = case
+    det = math.prod(r[j] for j, r in enumerate(h))
+    g = _det_with(det, row, h, [r[j] for j, r in enumerate(h)])
+    pivots = [[c for c in r if c][-1] for r in reference_hnf([*h, row])]
+    assert g == math.prod(pivots)
+    assert (g == det) is reference_is_member(LatticeBasis(h), row)

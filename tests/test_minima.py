@@ -113,6 +113,19 @@ class TestMinkowskiCheck:
         assert minkowski_check(basis, successive_minima(
             complete_set(basis, 4)))
 
+    def test_rank_one_is_exact(self):
+        # At rank 1 both bounds read 2 vol L: lambda_1^2 must equal 9
+        # exactly, with no float tolerance.
+        basis = LatticeBasis([(3,)])
+        exact = MinimaResult((F(9),), [(3,)], 1)
+        assert minkowski_check(basis, exact)
+        assert minkowski_check(basis, successive_minima(
+            complete_set(basis, 9)))
+        above = MinimaResult((9 * (1 + F(1, 10 ** 12)),), [(3,)], 1)
+        assert not minkowski_check(basis, above)
+        assert not minkowski_check(basis, above, rel_tol=1e-3)
+        assert not minkowski_check(basis, MinimaResult((F(4),), [(2,)], 1))
+
     def test_rank_mismatch_rejected(self, z2):
         r = successive_minima(complete_set(LatticeBasis([(1, 0), (0, 5)]),
                                            4), expected_rank=2)
